@@ -4,10 +4,11 @@ Each round does what ``simxfer run`` / ``simxfer grid`` do, through the
 package's public functions (embeddings, data, encoders, transfer,
 trainer): set up (load the vector and pair files, split, build the
 model), train or grid-search, and score the test split.  It then scores
-a larger scoring set with the trained model and checks every output
-against the numpy recomputation in ``oracle.py``.  Only this file's own
-clock reads time the phases; with ``--trace 1`` the first round runs
-untraced and the rest run under ``tracing.Tracer``.
+a larger scoring set with the trained model, one timed ``evaluate_split``
+call per chunk, and checks every output against the numpy recomputation
+in ``oracle.py``.  Only this file's own clock reads time the phases;
+with ``--trace 1`` the first round runs untraced and the rest run under
+``tracing.Tracer``.
 
 Usage (normally through run.py):
   python3 perfbench/experiment.py --workload NAME --inputs DIR --seed N \
@@ -48,6 +49,9 @@ from tracing import Tracer  # noqa: E402
 METRIC = "pearson"
 BINS = 5
 CLASSIFIER_HIDDEN = 50
+# A round scores the scoring set with one timed evaluate_split call per chunk,
+# so score_pairs_per_s is a median over many short samples, not a few long ones.
+SCORE_CHUNKS = 8
 
 
 @dataclass
@@ -71,11 +75,10 @@ class Round:
     experiment_s: float
     train_s: float
     train_pair_steps: int
-    score_s: float
     attempted: int
     failed: int
     test_corr: float
-    score_corr: float
+    scoring: "ScorePass"
     setup: SetUp | None = None
     model: object = None
     chosen: tuple | None = None
@@ -86,6 +89,21 @@ class Round:
     oracle_test: np.ndarray | None = None
     oracle_score: np.ndarray | None = None
     trained_digest: str = ""
+
+
+@dataclass
+class ScorePass:
+    """One pass over the scoring set: seconds and correlation of each chunk."""
+
+    seconds: list[float]
+    corrs: list[float]
+
+
+def chunk_bounds(n: int) -> list[tuple[int, int]]:
+    """``SCORE_CHUNKS`` contiguous (start, end) slices of ``n`` scoring pairs,
+    as equal as they come."""
+    edges = [round(k * n / SCORE_CHUNKS) for k in range(SCORE_CHUNKS + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def transfer_config(w: Workload):
@@ -151,7 +169,7 @@ def phase(tracer: Tracer | None, name: str, out: list[float]):
             tracer.end(span)
 
 
-def measure_round(w: Workload, files: InputFiles, seed: int, score_pairs: list,
+def measure_round(w: Workload, files: InputFiles, seed: int, chunks: list[list],
                   refs: dict, tracer: Tracer | None) -> Round:
     """Set up (repeated), train, score the test split, then score the scoring set."""
     setup_s: list[float] = []
@@ -191,22 +209,29 @@ def measure_round(w: Workload, files: InputFiles, seed: int, score_pairs: list,
     test_s: list[float] = []
     with phase(tracer, "test", test_s):
         test_corr = trainer.evaluate_split(model, setup.transfer_config, setup.test_pairs, METRIC)
-
-    gc.collect()
-    score_s: list[float] = []
-    with phase(tracer, "score", score_s):
-        score_corr = trainer.evaluate_split(model, setup.transfer_config, score_pairs, METRIC)
+    scoring = score_pass(model, setup.transfer_config, chunks, tracer)
 
     failed = sum(1 + math.ceil(n_train / c.config.batch_size) * c.config.max_epochs
                  for c in cells if c.error is not None)  # cells ended by NumericError
     return Round(
         setup_s=setup_s, experiment_s=setup_s[-1] + train_s[0] + test_s[0], train_s=train_s[0],
-        train_pair_steps=sum(n_train * c.epochs_run for c in cells), score_s=score_s[0],
+        train_pair_steps=sum(n_train * c.epochs_run for c in cells),
         attempted=(planned_batches(w, n_train) + _cells(w) + len(setup.test_pairs)
-                   + len(score_pairs)),
-        failed=failed, test_corr=test_corr, score_corr=score_corr, setup=setup, model=model,
+                   + sum(len(chunk) for chunk in chunks)),
+        failed=failed, test_corr=test_corr, scoring=scoring, setup=setup, model=model,
         chosen=chosen, cells=cells, initial=initial, untrained_ue=untrained_ue,
         unk_digest=unk_digest)
+
+
+def score_pass(model, xfer, chunks: list[list], tracer: Tracer | None) -> ScorePass:
+    """Score every chunk of the scoring set with ``evaluate_split``, timing each call."""
+    gc.collect()
+    seconds: list[float] = []
+    corrs = []
+    for chunk in chunks:
+        with phase(tracer, "score", seconds):
+            corrs.append(trainer.evaluate_split(model, xfer, chunk, METRIC))
+    return ScorePass(seconds, corrs)
 
 
 def load_references(files: InputFiles) -> dict:
@@ -224,8 +249,8 @@ def check_round(w: Workload, rnd: Round, first: Round | None, refs: dict) -> Non
     trained = _values(model)
     rnd.trained_digest = oracle.tensors_digest(trained)
     if first is not None:
-        if ((rnd.trained_digest, rnd.test_corr, rnd.score_corr, rnd.chosen)
-                != (first.trained_digest, first.test_corr, first.score_corr, first.chosen)):
+        if ((rnd.trained_digest, rnd.test_corr, rnd.scoring.corrs, rnd.chosen)
+                != (first.trained_digest, first.test_corr, first.scoring.corrs, first.chosen)):
             raise oracle.CheckFailed("a later round did not reproduce the first round's "
                                      "trained tensors, correlations and chosen cell")
         return
@@ -246,11 +271,15 @@ def check_round(w: Workload, rnd: Round, first: Round | None, refs: dict) -> Non
                           occurring)
 
 
-def check_correlations(rnd: Round, refs: dict) -> None:
+def check_correlations(rnd: Round, bounds: list[tuple[int, int]], refs: dict) -> None:
+    """The test and scoring-chunk correlations against scipy's pearsonr of the
+    recomputed predictions, and the test correlation against the untrained one."""
     gold_test = [p[0] for p in refs["test"]]
     oracle.check_correlation(rnd.test_corr, rnd.oracle_test, gold_test, "test split")
-    oracle.check_correlation(rnd.score_corr, rnd.oracle_score, [p[0] for p in refs["score"]],
-                             "scoring set")
+    gold_score = [p[0] for p in refs["score"]]
+    for k, (lo, hi) in enumerate(bounds):
+        oracle.check_correlation(rnd.scoring.corrs[k], rnd.oracle_score[lo:hi], gold_score[lo:hi],
+                                 f"scoring chunk {k}")
     untrained = float(np.corrcoef(rnd.untrained_ue, gold_test)[0, 1])
     oracle.check_beats_untrained(rnd.test_corr, untrained, "test split")
 
@@ -300,6 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     files = InputFiles(args.inputs)
     refs = load_references(files)
     score_pairs = data.load_generic_tsv(files.score, *SCORE_RANGE).pairs
+    bounds = chunk_bounds(len(score_pairs))
+    chunks = [score_pairs[lo:hi] for lo, hi in bounds]
 
     tracer = Tracer() if args.trace else None
     rounds: list[Round] = []
@@ -319,8 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             traced_rounds.append(len(rounds))
             tracer.install(simxfer)
         try:
-            rnd = measure_round(w, files, args.seed, score_pairs, refs,
-                                tracer if traced else None)
+            rnd = measure_round(w, files, args.seed, chunks, refs, tracer if traced else None)
         finally:
             if traced:
                 tracer.uninstall()
@@ -334,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if rounds[0].oracle_score is not None:  # None: the first round's checks already failed
         try:
-            check_correlations(rounds[0], refs)
+            check_correlations(rounds[0], bounds, refs)
         except oracle.CheckFailed as exc:
             failures.append(f"round 0: {exc}")
     for failure in failures:
@@ -345,7 +375,8 @@ def main(argv: list[str] | None = None) -> int:
         "setup_s": statistics.median(s for r in untraced for s in r.setup_s),
         "experiment_s": statistics.median(r.experiment_s for r in untraced),
         "train_pairs_per_s": statistics.median(r.train_pair_steps / r.train_s for r in untraced),
-        "score_pairs_per_s": statistics.median(len(score_pairs) / r.score_s for r in untraced),
+        "score_pairs_per_s": statistics.median(len(chunk) / s for r in untraced
+                                               for chunk, s in zip(chunks, r.scoring.seconds)),
         "peak_rss_mb": peak_rss_mb,
     }
     result = {
@@ -356,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         "end_to_end": end_to_end,
         "per_round": [{"traced": i in traced_rounds, "setup_s": statistics.median(r.setup_s),
                        "experiment_s": r.experiment_s, "train_s": r.train_s,
-                       "score_s": r.score_s} for i, r in enumerate(rounds)],
+                       "score_chunk_s": r.scoring.seconds} for i, r in enumerate(rounds)],
         "environment": environment(),
     }
     if tracer is not None:

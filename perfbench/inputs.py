@@ -111,7 +111,7 @@ WORKLOADS = {
             encoder="word-average", hidden=0,
             setting="DNT", loss=None, freeze_wem=False, frozen=("enc",),
             batch_sizes=(8,), learning_rates=(0.1,), epoch_budgets=(1,),
-            setup_repeats=1,
+            setup_repeats=2,
         ),
     )
 }

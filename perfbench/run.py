@@ -43,18 +43,17 @@ END_TO_END_UNITS = {
 
 def child_environment() -> dict[str, str]:
     """The workload process's environment: src on the path, a fixed string hash
-    seed, and BLAS threads at most the usable CPUs."""
+    seed, and one BLAS thread.
+
+    The workloads' matrices are small, so BLAS threads would buy little; an
+    idle BLAS worker spinning on the second CPU would slow the main thread
+    whenever the two CPUs share a core, and make the timings depend on it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     env["PYTHONHASHSEED"] = "0"
-    cpus = len(os.sched_getaffinity(0))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            wanted = int(env.get(var, cpus))
-        except ValueError:
-            wanted = cpus
-        env[var] = str(max(1, min(wanted, cpus)))
+        env[var] = "1"
     return env
 
 

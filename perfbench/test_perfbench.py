@@ -57,12 +57,14 @@ def trained(request, tmp_path_factory):
     files = generate(w, SEED, tmp_path_factory.mktemp(w.name))
     refs = experiment.load_references(files)
     score_pairs = experiment.data.load_generic_tsv(files.score, 0.0, 5.0).pairs
-    rnd = experiment.measure_round(w, files, SEED, score_pairs, refs, tracer=None)
+    bounds = experiment.chunk_bounds(len(score_pairs))
+    chunks = [score_pairs[lo:hi] for lo, hi in bounds]
+    rnd = experiment.measure_round(w, files, SEED, chunks, refs, tracer=None)
     experiment.check_round(w, rnd, None, refs)
-    experiment.check_correlations(rnd, refs)
+    experiment.check_correlations(rnd, bounds, refs)
     program = np.array([experiment.transfer.predict(rnd.setup.transfer_config, rnd.model, p)
                         for p in rnd.setup.test_pairs])
-    return w, rnd, refs, program
+    return w, rnd, refs, program, bounds
 
 
 def _oracle_test(w, values, rnd, refs):
@@ -75,7 +77,7 @@ TRAINED_PARAMETER = {"bilstm_dnt": "enc.fw.w_input", "ft_grid": "cla.w_p",
 
 
 def test_prediction_check_rejects_perturbed_parameter(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     values = {k: v.copy() for k, v in experiment._values(rnd.model).items()}
     oracle.check_predictions(program, _oracle_test(w, values, rnd, refs), "test split")
     name = TRAINED_PARAMETER[w.name]
@@ -86,7 +88,7 @@ def test_prediction_check_rejects_perturbed_parameter(trained):
 
 
 def test_prediction_check_rejects_perturbed_prediction(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     perturbed = program.copy()
     perturbed[3] *= 1 + 1e-6
     with pytest.raises(oracle.CheckFailed):
@@ -94,20 +96,28 @@ def test_prediction_check_rejects_perturbed_prediction(trained):
 
 
 def test_correlation_check_rejects_perturbed_correlation(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     gold = [p[0] for p in refs["test"]]
     with pytest.raises(oracle.CheckFailed):
         oracle.check_correlation(rnd.test_corr + 1e-6, rnd.oracle_test, gold, "test split")
 
 
+def test_correlation_check_rejects_perturbed_scoring_chunk(trained):
+    w, rnd, refs, program, bounds = trained
+    corrs = [*rnd.scoring.corrs[:-1], rnd.scoring.corrs[-1] + 1e-6]
+    perturbed = replace(rnd, scoring=replace(rnd.scoring, corrs=corrs))
+    with pytest.raises(oracle.CheckFailed, match="scoring chunk"):
+        experiment.check_correlations(perturbed, bounds, refs)
+
+
 def test_untrained_check_rejects_no_gain(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     with pytest.raises(oracle.CheckFailed):
         oracle.check_beats_untrained(rnd.test_corr, rnd.test_corr, "test split")
 
 
 def test_frozen_check_rejects_one_ulp(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     if not rnd.initial:
         pytest.skip(f"{w.name} has no frozen parameter")
     after = {k: v.copy() for k, v in experiment._values(rnd.model).items()}
@@ -118,7 +128,7 @@ def test_frozen_check_rejects_one_ulp(trained):
 
 
 def test_row_check_rejects_moved_unused_row_and_unmoved_matrix(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     if w.freeze_wem:
         pytest.skip(f"{w.name} keeps wem frozen")
     index = rnd.model.vocabulary.index
@@ -134,7 +144,7 @@ def test_row_check_rejects_moved_unused_row_and_unmoved_matrix(trained):
 
 
 def test_grid_check_rejects_a_cell_that_is_not_the_arg_max(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     if rnd.chosen is None:
         pytest.skip(f"{w.name} runs a single cell")
     cells = [(c.config.learning_rate, c.config.batch_size, c.config.max_epochs,
@@ -146,7 +156,7 @@ def test_grid_check_rejects_a_cell_that_is_not_the_arg_max(trained):
 
 
 def test_later_round_must_reproduce_the_first(trained):
-    w, rnd, refs, program = trained
+    w, rnd, refs, program, bounds = trained
     later = replace(rnd, trained_digest="", test_corr=rnd.test_corr + 1e-12)
     with pytest.raises(oracle.CheckFailed):
         experiment.check_round(w, later, rnd, refs)
