@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A ``Tape`` records every primitive application as a node (op kind, input
-ids, output id, saved activations).  ``backward`` walks the recorded nodes
-in reverse, accumulating adjoints and depositing gradients into trainable
-leaf tensors.  Replaying a tape forward reproduces all recorded outputs
-bitwise, which the test suite relies on.
+tensors, output tensor, saved activations).  ``backward`` walks the
+recorded nodes in reverse, accumulating adjoints keyed by the tensor
+objects themselves and depositing gradients into trainable leaf tensors.
+Tensors hold no reference to a tape, so a tape and everything it saved
+is freed as soon as the caller drops it.  Replaying a tape forward
+reproduces all recorded outputs bitwise, which the test suite relies on.
 
 Tapes are confined to one thread at a time; independent tapes may run in
 parallel threads (the active-tape stack is thread-local).
@@ -20,24 +22,6 @@ import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
-# Kinds accepted by forward_primitive.  The tape also records a few
-# specialized node kinds (cosine, lookup, select_row, stack, log) that
-# have their own entry points.
-PRIMITIVE_KINDS = (
-    "matmul",
-    "add",
-    "elementwise_multiply",
-    "subtract",
-    "absolute",
-    "sigmoid",
-    "tanh",
-    "concat",
-    "mean_over_axis",
-    "max_over_axis",
-    "softmax",
-    "scale",
-)
-
 NORM_GUARD = 1e-12  # zero-norm guard for cosine
 
 
@@ -49,7 +33,7 @@ class Tensor:
     additively across backward calls until ``zero_grad``.
     """
 
-    __slots__ = ("values", "grad", "trainable", "name", "id", "_tape", "degenerate")
+    __slots__ = ("values", "grad", "trainable", "name", "degenerate")
 
     def __init__(self, values, trainable: bool = False, name: str | None = None):
         arr = np.asarray(values, dtype=np.float64)
@@ -57,8 +41,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.trainable = trainable
         self.name = name
-        self.id: int | None = None
-        self._tape: "Tape | None" = None
         self.degenerate = False  # set by cosine when both norms vanish
 
     @classmethod
@@ -69,8 +51,6 @@ class Tensor:
         t.grad = None
         t.trainable = False
         t.name = None
-        t.id = None
-        t._tape = None
         t.degenerate = False
         return t
 
@@ -87,21 +67,18 @@ class Tensor:
         self.grad += delta
 
     def __repr__(self) -> str:
-        label = self.name or f"tensor#{self.id}"
-        return f"Tensor({label}, shape={self.shape}, trainable={self.trainable})"
+        return f"Tensor({self.name or 'unnamed'}, shape={self.shape}, trainable={self.trainable})"
 
 
 class TapeNode:
     """One recorded primitive application."""
 
-    __slots__ = ("kind", "inputs", "input_ids", "output", "output_id", "attrs", "saved")
+    __slots__ = ("kind", "inputs", "output", "attrs", "saved")
 
     def __init__(self, kind, inputs, output, attrs=None, saved=None):
         self.kind = kind
         self.inputs = tuple(inputs)
-        self.input_ids = tuple(t.id for t in inputs)
         self.output = output
-        self.output_id = output.id
         self.attrs = attrs or {}
         self.saved = saved or {}
 
@@ -129,7 +106,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
-        self._next_id = 0
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -138,14 +114,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = _tape_stack().pop()
         assert popped is self
-
-    def register(self, tensor: Tensor) -> Tensor:
-        """Assign the tensor an id on this tape (no-op if already on it)."""
-        if tensor._tape is not self:
-            tensor._tape = self
-            tensor.id = self._next_id
-            self._next_id += 1
-        return tensor
 
     def record(self, node: TapeNode) -> None:
         self.nodes.append(node)
@@ -475,15 +443,11 @@ def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Te
     tape = active_tape()
     if attrs is None:
         attrs = _NO_ATTRS
-    tensors = []
-    for x in inputs:
-        t = x if isinstance(x, Tensor) else Tensor(x)
-        tensors.append(tape.register(t))
+    tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
     out_values, saved = _FORWARD[kind]([t.values for t in tensors], attrs)
     out = Tensor._wrap(out_values)
     if kind == "cosine" and saved.get("degenerate"):
         out.degenerate = True
-    tape.register(out)
     tape.record(TapeNode(kind, tensors, out, attrs=attrs, saved=saved))
     return out
 
@@ -571,47 +535,35 @@ def cosine(u, v) -> Tensor:
     return _apply("cosine", (u, v))
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse accumulation from a scalar loss recorded on the tape.
 
-    Deposits gradients (additively) into every reachable trainable
-    tensor; non-trainable leaves receive none.  Returns the full adjoint
-    map keyed by tensor id, mainly for diagnostics.
+    Deposits gradients (additively) into every reachable trainable leaf
+    tensor; non-trainable leaves receive none.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._tape is not tape:
+    if not any(node.output is loss for node in reversed(tape.nodes)):
         raise ContractError("loss was not produced on the given tape")
-    # adjoints are keyed by the ids recorded at trace time, so tensors that
-    # were meanwhile re-registered on another tape still resolve correctly
-    adjoints: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.values)}
+    adjoints: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
     for node in reversed(tape.nodes):
-        g = adjoints.get(node.output_id)
+        g = adjoints.get(node.output)
         if g is None:
             continue
         input_grads = _BACKWARD[node.kind](node, g)
-        for tid, grad in zip(node.input_ids, input_grads):
+        for tensor, grad in zip(node.inputs, input_grads):
             if grad is None:
                 continue
-            if tid in adjoints:
+            if tensor in adjoints:
                 # plain + (never in place): adjoint arrays may be shared
                 # with kernel outputs and must not be mutated
-                adjoints[tid] = adjoints[tid] + grad
+                adjoints[tensor] = adjoints[tensor] + grad
             else:
-                adjoints[tid] = np.asarray(grad, dtype=np.float64)
-    produced = {node.output_id for node in tape.nodes}
-    deposited: set[int] = set()
-    for node in tape.nodes:
-        for tensor, tid in zip(node.inputs, node.input_ids):
-            if (
-                tensor.trainable
-                and tid not in produced  # leaves only
-                and tid not in deposited
-                and tid in adjoints
-            ):
-                tensor.accumulate_grad(adjoints[tid])
-                deposited.add(tid)
-    return adjoints
+                adjoints[tensor] = np.asarray(grad, dtype=np.float64)
+    produced = {node.output for node in tape.nodes}
+    for tensor, adjoint in adjoints.items():
+        if tensor.trainable and tensor not in produced:  # leaves only
+            tensor.accumulate_grad(adjoint)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -45,6 +45,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         try:
             name, shape_text = lines[i].rsplit(" ", 1)
             shape = () if shape_text == "scalar" else tuple(int(d) for d in shape_text.split(","))
+            if any(d < 0 for d in shape):  # reshape would infer a -1 dimension
+                raise ValueError(f"negative dimension in shape {shape_text}")
             values = np.array([float.fromhex(v) for v in lines[i + 1].split()], dtype=np.float64)
             tensors[name] = values.reshape(shape)
         except (ValueError, IndexError) as exc:

@@ -372,7 +372,7 @@ def _load_pairs(spec: ExperimentSpec, path) -> LoadResult:
     return load_generic_tsv(path, *spec.score_range)
 
 
-def run_experiment(spec: ExperimentSpec, mode: str, threads: int = 1) -> ExperimentReport:
+def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
     """Load data and embeddings, build the model, train per mode, score test."""
     started = time.perf_counter()
     if mode == "eval" and spec.transfer.setting != "UE":
@@ -432,8 +432,7 @@ def run_experiment(spec: ExperimentSpec, mode: str, threads: int = 1) -> Experim
                              history.best_dev_correlation)]
             best_config, best_history = cell, history
         else:
-            result = grid_search(model_factory, spec.transfer, train_split, dev_split,
-                                 spec.grid, threads=threads)
+            result = grid_search(model_factory, spec.transfer, train_split, dev_split, spec.grid)
             model = result.best_model
             best_config, best_history = result.best_config, result.best_history
             report.cells = [(c.config.batch_size, c.config.learning_rate,
@@ -467,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="experiment spec file")
         p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
         p.add_argument("--out", default=None, help="report output path (overrides spec)")
-        p.add_argument("--threads", type=int, default=1, help="parallel grid cells")
     p = sub.add_parser("table")
     p.add_argument("reports", nargs="+", help="report files to aggregate")
     p.add_argument("--out", default=None, help="write the TSV table here")
@@ -491,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         entries = parse_spec_file(args.spec)
         spec = build_spec(entries, args.spec, seed_override=args.seed, out_override=args.out)
-        report = run_experiment(spec, args.command, threads=args.threads)
+        report = run_experiment(spec, args.command)
         label = f"{report.encoder} [{report.setting}] on {report.dataset}"
         sys.stdout.write(f"{label}: test {report.metric} = {report.test_correlation:.4f}\n")
         if report.best_batch_size is not None:

@@ -40,7 +40,7 @@ class ScoredPair:
         lo, hi = self.score_range
         if lo >= hi:
             raise ContractError(f"score range [{lo}, {hi}] has no width")
-        if self.score < lo - 1e-9 or self.score > hi + 1e-9:
+        if not lo - 1e-9 <= self.score <= hi + 1e-9:  # NaN fails too
             raise ContractError(f"score {self.score} outside range [{lo}, {hi}]")
 
 
@@ -92,7 +92,7 @@ def _build_pair(score_text: str, sentence_a: str, sentence_b: str,
     except ValueError:
         return None
     lo, hi = score_range
-    if score < lo - 1e-9 or score > hi + 1e-9:
+    if not lo - 1e-9 <= score <= hi + 1e-9:  # NaN fails too
         return None
     if not tokenize(sentence_a) or not tokenize(sentence_b):
         return None

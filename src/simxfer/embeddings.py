@@ -75,7 +75,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingLoadResult:
     """Parse a word-vector text file into a vocabulary and matrix.
 
     Vocabulary order follows the file (unknown row prepended).  Malformed
-    lines (wrong dimension, unparseable floats) are skipped and counted.
+    lines (wrong dimension, unparseable or non-finite floats) are skipped
+    and counted.
     A file with zero valid lines is a fatal error.
     """
     if expected_dim <= 0:
@@ -97,6 +98,9 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingLoadResult:
             try:
                 vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError:
+                skipped += 1
+                continue
+            if not np.isfinite(vector).all():  # nan/inf would poison the UNK mean
                 skipped += 1
                 continue
             if token in vocab:

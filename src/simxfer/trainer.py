@@ -14,7 +14,6 @@ scored by dev correlation of its early-stopped model.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -298,13 +297,9 @@ def select_best_cell(results: list[CellResult]) -> int:
 
 def grid_search(model_factory: Callable[[], SimilarityModel], transfer_config: TransferConfig,
                 train_split: DatasetSplit, dev_split: DatasetSplit,
-                grid: HyperGrid, threads: int = 1) -> GridSearchResult:
-    """Evaluate every grid cell on a fresh identically-initialized model.
-
-    Cells are independent; ``threads > 1`` runs them concurrently.  The
-    winner is re-selected deterministically regardless of completion order.
-    """
-    cells = grid.cells()
+                grid: HyperGrid) -> GridSearchResult:
+    """Evaluate every grid cell, in order, on a fresh identically-initialized
+    model, and keep the cell that ``select_best_cell`` picks."""
 
     def run_cell(cfg: TrainingConfig):
         model = model_factory()
@@ -316,11 +311,7 @@ def grid_search(model_factory: Callable[[], SimilarityModel], transfer_config: T
         except NumericError as exc:
             return CellResult(cfg, UNDEFINED_CORRELATION, -1, 0, error=str(exc)), None, None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(cfg) for cfg in cells]
+    outcomes = [run_cell(cfg) for cfg in grid.cells()]
     results = [o[0] for o in outcomes]
     winner = select_best_cell(results)
     _, best_model, best_history = outcomes[winner]

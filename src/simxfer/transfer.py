@@ -196,7 +196,7 @@ def normalize_score(y: float, source_range: tuple[float, float],
     tlo, thi = target_range
     if hi <= lo or thi <= tlo:
         raise ContractError("score ranges must have positive width")
-    if y < lo - 1e-9 or y > hi + 1e-9:
+    if not lo - 1e-9 <= y <= hi + 1e-9:  # NaN fails too
         where = f" ({context})" if context else ""
         raise DataError(f"score {y} outside declared range [{lo}, {hi}]{where}")
     y = min(max(y, lo), hi)

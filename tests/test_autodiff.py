@@ -1,6 +1,8 @@
 """Tests for the reverse-mode autodiff core."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -161,15 +163,39 @@ def test_no_active_tape_raises():
 
 
 def test_backward_survives_cross_tape_reuse():
-    """Registering a leaf on a newer tape must not corrupt an older tape's
-    backward pass (adjoints are keyed by trace-time ids)."""
+    """Using a leaf on a newer tape must not corrupt an older tape's
+    backward pass."""
     p = Tensor([1.0, 2.0], trainable=True)
     with Tape() as tape:
         loss = ad.matmul(p, p)
     with ad.InferenceTape():
-        ad.matmul(p, Tensor([1.0, 1.0]))  # reassigns p's id elsewhere
+        ad.matmul(p, Tensor([1.0, 1.0]))
     backward(tape, loss)
     assert p.grad.tolist() == [2.0, 4.0]
+
+
+def test_backward_rejects_loss_from_another_tape():
+    x = Tensor([1.0, 2.0], trainable=True)
+    with Tape():
+        loss = ad.matmul(x, x)
+    with Tape() as other:
+        ad.matmul(x, x)
+    with pytest.raises(ContractError):
+        backward(other, loss)
+
+
+def test_finished_tape_is_freed_without_cycle_collector():
+    x = Tensor([1.0, 2.0], trainable=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = ad.matmul(ad.tanh(x), x)
+        backward(tape, loss)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_inference_tape_records_nothing():

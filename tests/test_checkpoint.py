@@ -39,6 +39,14 @@ def test_malformed_entry(tmp_path):
         load_checkpoint(path)
 
 
+def test_negative_dimension_rejected(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    values = " ".join(float(v).hex() for v in range(5))
+    path.write_text(f"simxfer-checkpoint 1\nw -1\n{values}\n")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "absent.ckpt")

@@ -116,6 +116,21 @@ def test_generic_out_of_range_skipped(tmp_path):
     assert result.warnings == 1
 
 
+def test_nan_score_skipped_by_every_loader(tmp_path):
+    sts_nan = STS_LINE.replace("\t5.00\t", "\tnan\t")
+    sick = (SICK_HEADER + "\n1\tA kid plays.\tA child is playing.\tnan\tE\n"
+            "2\tA dog runs.\tA dog is running.\t4.0\tE\n")
+    cases = [
+        (load_generic_tsv, "nan\ta b\tc d\n3\tgood line\tanother line\n", (0, 4)),
+        (load_sts_benchmark, sts_nan + "\n" + STS_LINE + "\n", ()),
+        (load_sick, sick, ()),
+    ]
+    for loader, text, extra in cases:
+        result = loader(write(tmp_path, text), *extra)
+        assert len(result.pairs) == 1, loader.__name__
+        assert result.warnings == 1, loader.__name__
+
+
 def test_empty_sentences_dropped(tmp_path):
     text = "3\t \tnonempty words\n2\treal sentence\tanother one\n"
     result = load_generic_tsv(write(tmp_path, text), 0, 4)
@@ -134,6 +149,8 @@ def test_loading_is_idempotent(tmp_path):
 def test_scored_pair_range_invariant():
     with pytest.raises(ContractError):
         ScoredPair("a", "b", 6.0, (0.0, 5.0))
+    with pytest.raises(ContractError):
+        ScoredPair("a", "b", float("nan"), (0.0, 5.0))
     with pytest.raises(ContractError):
         ScoredPair("a", "b", 1.0, (5.0, 0.0))
 

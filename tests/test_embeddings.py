@@ -47,6 +47,14 @@ def test_unparseable_floats_skipped(tmp_path):
     assert result.skipped_lines == 1
 
 
+def test_non_finite_vectors_skipped_and_unk_stays_finite(tmp_path):
+    path = write_vectors(tmp_path, "a 1.0 3.0\nb nan 1.0\nc inf 0.5\nd 3.0 5.0\n")
+    result = load_embeddings(path, expected_dim=2)
+    assert result.skipped_lines == 2
+    assert "b" not in result.vocabulary and "c" not in result.vocabulary
+    assert np.array_equal(result.embedding.matrix.values[UNK_INDEX], [2.0, 4.0])
+
+
 def test_duplicate_tokens_keep_first(tmp_path):
     path = write_vectors(tmp_path, "dog 1 1\ndog 9 9\n")
     result = load_embeddings(path, expected_dim=2)

@@ -62,6 +62,8 @@ def test_normalize_is_monotone(rng):
 def test_normalize_rejects_out_of_range():
     with pytest.raises(DataError):
         normalize_score(5.1, (0, 5), (0, 1), context="row 7")
+    with pytest.raises(DataError):
+        normalize_score(float("nan"), (0, 5), (0, 1))
 
 
 def test_rescale_to_bins():
