@@ -76,6 +76,5 @@ with Tape():
     print(f"  MSE {float(ft_loss(target, p_hat, 'MSE').values):.5f}   "
           f"KL {float(ft_loss(target, p_hat, 'KL').values):.5f}")
 
-    cosines = [Tensor(np.float64(c)) for c in (0.2, 0.8)]
-    value = float(dnt_loss(cosines, [0.4, 0.4]).values)
+    value = float(dnt_loss(Tensor([0.2, 0.8]), [0.4, 0.4]).values)
     print(f"squared-cosine batch loss for cosines (0.2, 0.8) vs targets 0.4: {value}")

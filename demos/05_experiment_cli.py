@@ -6,6 +6,7 @@ one hyperparameter cell, `grid` sweeps the full grid, and `table`
 aggregates report files into one model x dataset view.
 """
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ SPECS = ROOT / "fixtures" / "specs"
 def cli(*args):
     command = [sys.executable, "-m", "simxfer.cli", *args]
     print(f"\n$ simxfer {' '.join(args)}")
-    proc = subprocess.run(command, cwd=ROOT, env={"SIMXFER_DATA_DIR": str(ROOT)},
+    proc = subprocess.run(command, cwd=ROOT, env={**os.environ, "SIMXFER_DATA_DIR": str(ROOT)},
                           capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     if proc.returncode != 0:

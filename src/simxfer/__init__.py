@@ -39,7 +39,7 @@ from .transfer import (
     TransferConfig,
     classifier_forward,
     dnt_loss,
-    embed_sentence,
+    embed_sentences,
     ft_loss,
     init_classifier,
     normalize_score,

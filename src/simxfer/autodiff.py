@@ -3,19 +3,22 @@
 A ``Tape`` records every primitive application as a node (op kind, input
 tensors, output tensor, saved activations).  ``backward`` walks the
 recorded nodes in reverse, accumulating adjoints keyed by the tensor
-objects themselves and depositing gradients into trainable leaf tensors.
-Tensors hold no reference to a tape, so a tape and everything it saved
-is freed as soon as the caller drops it.  Replaying a tape forward
-reproduces all recorded outputs bitwise, which the test suite relies on.
+objects themselves and depositing gradients into trainable leaf tensors;
+it skips every node that no trainable leaf feeds.  Tensors hold no
+reference to a tape, so a tape and everything it saved is freed as soon
+as the caller drops it.  Replaying a tape forward reproduces all recorded
+outputs bitwise, which the test suite relies on.
 
-Tapes are confined to one thread at a time; independent tapes may run in
-parallel threads (the active-tape stack is thread-local).
+Primitives act on a leading batch axis: ``add``, ``subtract`` and
+``elementwise_multiply`` broadcast (a bias vector against a batch of rows),
+``softmax`` and ``cosine`` work along the last axis, and ``concat``,
+``stack``, ``select_row`` and the axis reductions accept any rank.  So one
+graph serves one vector or a whole batch of rows.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,22 +86,13 @@ class TapeNode:
         self.saved = saved or {}
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+_TAPES: list["Tape"] = []  # the active-tape stack; the innermost tape records
 
 
 def active_tape() -> "Tape":
-    try:
-        return _LOCAL.stack[-1]
-    except (AttributeError, IndexError):
-        raise ContractError("no active tape; wrap the computation in 'with Tape():'") from None
+    if not _TAPES:
+        raise ContractError("no active tape; wrap the computation in 'with Tape():'")
+    return _TAPES[-1]
 
 
 class Tape:
@@ -108,15 +102,12 @@ class Tape:
         self.nodes: list[TapeNode] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
-
-    def record(self, node: TapeNode) -> None:
-        self.nodes.append(node)
 
     def replay(self) -> None:
         """Re-execute every node forward, overwriting recorded outputs.
@@ -130,26 +121,29 @@ class Tape:
             node.saved = saved
 
 
-class InferenceTape(Tape):
-    """A tape that drops its nodes: forward values only, no backward.
-
-    Used for prediction and evaluation, where recording every node would
-    only cost memory and time.
-    """
-
-    def record(self, node: TapeNode) -> None:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # forward kernels: fn(values, attrs) -> (output ndarray, saved dict)
 # backward kernels: fn(node, out_grad) -> tuple of input adjoints (None = skip)
 # ---------------------------------------------------------------------------
 
 
-def _require_same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(op, a.shape, b.shape)
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum an adjoint over the axes along which an input of ``shape`` was broadcast."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _numpy_kernel(op: str, fn: Callable) -> Callable:
+    """Forward kernel ``fn(*arrays, **attrs)``; numpy's shape errors become ShapeError."""
+    def forward(values, attrs):
+        try:
+            return fn(*values, **attrs), {}
+        except ValueError:
+            raise ShapeError(op, *(v.shape for v in values)) from None
+    return forward
 
 
 def _fwd_matmul(values, attrs):
@@ -172,35 +166,19 @@ def _bwd_matmul(node, g):
     return g @ b.T, a.T @ g
 
 
-def _fwd_add(values, attrs):
-    a, b = values
-    _require_same_shape("add", a, b)
-    return a + b, {}
-
-
 def _bwd_add(node, g):
-    return g, g
-
-
-def _fwd_subtract(values, attrs):
-    a, b = values
-    _require_same_shape("subtract", a, b)
-    return a - b, {}
+    a, b = node.inputs
+    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
 def _bwd_subtract(node, g):
-    return g, -g
-
-
-def _fwd_multiply(values, attrs):
-    a, b = values
-    _require_same_shape("elementwise_multiply", a, b)
-    return a * b, {}
+    a, b = node.inputs
+    return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
 
 def _bwd_multiply(node, g):
     a, b = (t.values for t in node.inputs)
-    return g * b, g * a
+    return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
 
 def _fwd_absolute(values, attrs):
@@ -233,32 +211,19 @@ def _bwd_tanh(node, g):
     return (g * (1.0 - t * t),)
 
 
-def _fwd_concat(values, attrs):
-    parts = [np.atleast_1d(v) for v in values]
-    for v in parts:
-        if v.ndim != 1:
-            raise ShapeError("concat", v.shape, detail="inputs must be scalars or vectors")
-    return np.concatenate(parts), {"sizes": [v.size for v in parts]}
+def _fwd_transpose(values, attrs):
+    (a,) = values
+    return a.T, {}
+
+
+def _bwd_transpose(node, g):
+    return (g.T,)
 
 
 def _bwd_concat(node, g):
-    grads = []
-    offset = 0
-    for t in node.inputs:
-        size = max(t.values.size, 1)
-        piece = g[offset : offset + size]
-        grads.append(piece.reshape(t.values.shape))
-        offset += size
-    return tuple(grads)
-
-
-def _fwd_stack(values, attrs):
-    first = values[0]
-    if first.ndim != 1:
-        raise ShapeError("stack", first.shape, detail="inputs must be vectors")
-    for v in values[1:]:
-        _require_same_shape("stack", first, v)
-    return np.stack(values), {}
+    axis = node.attrs["axis"]
+    ends = np.cumsum([t.values.shape[axis] for t in node.inputs])
+    return tuple(np.split(g, ends[:-1], axis=axis))
 
 
 def _bwd_stack(node, g):
@@ -268,7 +233,7 @@ def _bwd_stack(node, g):
 def _fwd_select_row(values, attrs):
     (a,) = values
     row = attrs["row"]
-    if a.ndim != 2 or not (0 <= row < a.shape[0]):
+    if a.ndim == 0 or not (0 <= row < a.shape[0]):
         raise ShapeError("select_row", a.shape, detail=f"row {row}")
     return a[row].copy(), {}
 
@@ -284,7 +249,7 @@ def _fwd_lookup(values, attrs):
     idx = attrs["indices"]
     if m.ndim != 2:
         raise ShapeError("lookup", m.shape, detail="matrix must be 2-D")
-    return m[idx].copy(), {}
+    return m[idx], {}
 
 
 def _bwd_lookup(node, g):
@@ -320,31 +285,24 @@ def _fwd_max(values, attrs):
 
 
 def _bwd_max(node, g):
-    a = node.inputs[0].values
     axis = node.attrs["axis"]
-    out = np.zeros_like(a)
-    idx = node.saved["argmax"]
-    if a.ndim == 1:
-        out[idx] = g
-    elif axis == 0:
-        out[idx, np.arange(a.shape[1])] = g
-    else:
-        out[np.arange(a.shape[0]), idx] = g
+    out = np.zeros_like(node.inputs[0].values)
+    np.put_along_axis(out, np.expand_dims(node.saved["argmax"], axis),
+                      np.expand_dims(g, axis), axis)
     return (out,)
 
 
 def _fwd_softmax(values, attrs):
     (a,) = values
-    if a.ndim != 1:
-        raise ShapeError("softmax", a.shape, detail="input must be a vector")
-    shifted = a - a.max()
-    e = np.exp(shifted)
-    return e / e.sum(), {}
+    if a.ndim == 0:
+        raise ShapeError("softmax", a.shape, detail="input must have a last axis")
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), {}
 
 
 def _bwd_softmax(node, g):
     s = node.output.values
-    return (s * (g - np.dot(g, s)),)
+    return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
 
 def _fwd_scale(values, attrs):
@@ -369,42 +327,41 @@ def _bwd_log(node, g):
 
 def _fwd_cosine(values, attrs):
     u, v = values
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
+    if u.ndim == 0 or u.shape != v.shape:
         raise ShapeError("cosine", u.shape, v.shape)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    du = max(nu, NORM_GUARD)
-    dv = max(nv, NORM_GUARD)
-    if nu < NORM_GUARD and nv < NORM_GUARD:
-        return np.float64(0.0), {"degenerate": True, "nu": nu, "nv": nv}
-    return np.float64(np.dot(u, v) / (du * dv)), {"degenerate": False, "nu": nu, "nv": nv}
+    nu = np.linalg.norm(u, axis=-1)
+    nv = np.linalg.norm(v, axis=-1)
+    degenerate = (nu < NORM_GUARD) & (nv < NORM_GUARD)
+    du = np.maximum(nu, NORM_GUARD)
+    dv = np.maximum(nv, NORM_GUARD)
+    out = np.where(degenerate, 0.0, (u * v).sum(axis=-1) / (du * dv))
+    return out, {"degenerate": degenerate, "nu": nu, "nv": nv}
 
 
 def _bwd_cosine(node, g):
-    if node.saved["degenerate"]:
-        u, v = (t.values for t in node.inputs)
-        return np.zeros_like(u), np.zeros_like(v)
     u, v = (t.values for t in node.inputs)
-    nu, nv = node.saved["nu"], node.saved["nv"]
-    du = max(nu, NORM_GUARD)
-    dv = max(nv, NORM_GUARD)
-    c = float(node.output.values)
+    nu, nv = node.saved["nu"][..., None], node.saved["nv"][..., None]
+    du = np.maximum(nu, NORM_GUARD)
+    dv = np.maximum(nv, NORM_GUARD)
+    c = node.output.values[..., None]
     # norm factors pinned at the guard contribute no gradient through the norm
-    gu = v / (du * dv) - (c * u / (du * du) if nu >= NORM_GUARD else 0.0)
-    gv = u / (du * dv) - (c * v / (dv * dv) if nv >= NORM_GUARD else 0.0)
+    gu = v / (du * dv) - np.where(nu >= NORM_GUARD, c * u / (du * du), 0.0)
+    gv = u / (du * dv) - np.where(nv >= NORM_GUARD, c * v / (dv * dv), 0.0)
+    g = np.where(node.saved["degenerate"], 0.0, g)[..., None]
     return g * gu, g * gv
 
 
 _FORWARD: dict[str, Callable] = {
     "matmul": _fwd_matmul,
-    "add": _fwd_add,
-    "subtract": _fwd_subtract,
-    "elementwise_multiply": _fwd_multiply,
+    "add": _numpy_kernel("add", np.add),
+    "subtract": _numpy_kernel("subtract", np.subtract),
+    "elementwise_multiply": _numpy_kernel("elementwise_multiply", np.multiply),
     "absolute": _fwd_absolute,
     "sigmoid": _fwd_sigmoid,
     "tanh": _fwd_tanh,
-    "concat": _fwd_concat,
-    "stack": _fwd_stack,
+    "transpose": _fwd_transpose,
+    "concat": _numpy_kernel("concat", lambda *parts, axis: np.concatenate(parts, axis=axis)),
+    "stack": _numpy_kernel("stack", lambda *rows: np.stack(rows)),
     "select_row": _fwd_select_row,
     "lookup": _fwd_lookup,
     "mean_over_axis": _fwd_mean,
@@ -423,6 +380,7 @@ _BACKWARD: dict[str, Callable] = {
     "absolute": _bwd_absolute,
     "sigmoid": _bwd_sigmoid,
     "tanh": _bwd_tanh,
+    "transpose": _bwd_transpose,
     "concat": _bwd_concat,
     "stack": _bwd_stack,
     "select_row": _bwd_select_row,
@@ -446,9 +404,9 @@ def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Te
     tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
     out_values, saved = _FORWARD[kind]([t.values for t in tensors], attrs)
     out = Tensor._wrap(out_values)
-    if kind == "cosine" and saved.get("degenerate"):
+    if kind == "cosine" and saved["degenerate"].any():
         out.degenerate = True
-    tape.record(TapeNode(kind, tensors, out, attrs=attrs, saved=saved))
+    tape.nodes.append(TapeNode(kind, tensors, out, attrs=attrs, saved=saved))
     return out
 
 
@@ -490,8 +448,13 @@ def tanh(a) -> Tensor:
     return _apply("tanh", (a,))
 
 
-def concat(parts: Iterable[Tensor]) -> Tensor:
-    return _apply("concat", tuple(parts))
+def transpose(a) -> Tensor:
+    """Reverse the axes (a matrix transpose for 2-D input)."""
+    return _apply("transpose", (a,))
+
+
+def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
+    return _apply("concat", tuple(parts), {"axis": int(axis)})
 
 
 def stack(rows: Iterable[Tensor]) -> Tensor:
@@ -527,10 +490,12 @@ def log(a) -> Tensor:
 
 
 def cosine(u, v) -> Tensor:
-    """Cosine similarity of two vectors, guarded against zero norms.
+    """Cosine similarity along the last axis, guarded against zero norms.
 
-    Both norms below the guard yield 0 with ``degenerate=True`` on the
-    output instead of NaN, so all-OOV sentences cannot poison training.
+    Two vectors give a scalar; two n x d batches give n cosines.  A row
+    whose two norms are both below the guard yields 0 instead of NaN, and
+    marks the output ``degenerate``, so all-OOV sentences cannot poison
+    training.
     """
     return _apply("cosine", (u, v))
 
@@ -539,20 +504,27 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse accumulation from a scalar loss recorded on the tape.
 
     Deposits gradients (additively) into every reachable trainable leaf
-    tensor; non-trainable leaves receive none.
+    tensor; non-trainable leaves receive none.  Nodes that no trainable
+    leaf feeds are skipped, so a frozen input costs no adjoint.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not any(node.output is loss for node in reversed(tape.nodes)):
         raise ContractError("loss was not produced on the given tape")
+    fed = set()  # node outputs that depend on a trainable leaf
+    for node in tape.nodes:
+        if any(t.trainable or t in fed for t in node.inputs):
+            fed.add(node.output)
     adjoints: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
     for node in reversed(tape.nodes):
+        if node.output not in fed:
+            continue
         g = adjoints.get(node.output)
         if g is None:
             continue
         input_grads = _BACKWARD[node.kind](node, g)
         for tensor, grad in zip(node.inputs, input_grads):
-            if grad is None:
+            if grad is None or not (tensor.trainable or tensor in fed):
                 continue
             if tensor in adjoints:
                 # plain + (never in place): adjoint arrays may be shared
@@ -560,9 +532,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 adjoints[tensor] = adjoints[tensor] + grad
             else:
                 adjoints[tensor] = np.asarray(grad, dtype=np.float64)
-    produced = {node.output for node in tape.nodes}
     for tensor, adjoint in adjoints.items():
-        if tensor.trainable and tensor not in produced:  # leaves only
+        if tensor.trainable and tensor not in fed:  # leaves only
             tensor.accumulate_grad(adjoint)
 
 

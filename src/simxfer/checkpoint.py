@@ -48,6 +48,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if any(d < 0 for d in shape):  # reshape would infer a -1 dimension
                 raise ValueError(f"negative dimension in shape {shape_text}")
             values = np.array([float.fromhex(v) for v in lines[i + 1].split()], dtype=np.float64)
+            if not np.isfinite(values).all():  # nan/inf would poison every prediction
+                raise ValueError("non-finite value")
             tensors[name] = values.reshape(shape)
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed checkpoint entry at line {i + 1}") from exc

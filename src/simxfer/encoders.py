@@ -6,6 +6,9 @@ concatenated hidden states) and ``bilstm-max`` (same recurrence,
 elementwise max over steps).  The LSTM cell is the standard one: input,
 forget and output gates via sigmoid, candidate via tanh, hidden state =
 output gate * tanh(cell state).
+
+``encode`` takes one sentence (T x d) or a batch of n sentences of equal
+length (T x n x d); a batch is encoded with one set of nodes per step.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .autodiff import (
     sigmoid,
     stack,
     tanh,
+    transpose,
 )
 from .errors import ContractError, DataError
 
@@ -115,14 +119,15 @@ def init_encoder(config: EncoderConfig) -> EncoderParameters:
 
 
 def _lstm_states(direction: LstmDirection, steps: list[Tensor], h: int) -> list[Tensor]:
-    hidden = Tensor(np.zeros(h))
-    cell = Tensor(np.zeros(h))
+    w = {gate: transpose(direction.w[gate]) for gate in GATES}
+    u = {gate: transpose(direction.u[gate]) for gate in GATES}
+    hidden = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
+    cell = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
     states = []
     for x in steps:
         gates = {}
         for gate in GATES:
-            pre = add(add(matmul(direction.w[gate], x), matmul(direction.u[gate], hidden)),
-                      direction.b[gate])
+            pre = add(add(matmul(x, w[gate]), matmul(hidden, u[gate])), direction.b[gate])
             gates[gate] = tanh(pre) if gate == "candidate" else sigmoid(pre)
         cell = add(elementwise_multiply(gates["forget"], cell),
                    elementwise_multiply(gates["input"], gates["candidate"]))
@@ -132,9 +137,10 @@ def _lstm_states(direction: LstmDirection, steps: list[Tensor], h: int) -> list[
 
 
 def encode(params: EncoderParameters, config: EncoderConfig, token_vectors: Tensor) -> Tensor:
-    """Encode a T x d token-vector matrix into one embedding vector."""
-    if token_vectors.values.ndim != 2:
-        raise ContractError(f"token_vectors must be T x d, got shape {token_vectors.shape}")
+    """Encode a T x d token-vector matrix into one embedding vector, or a
+    T x n x d batch of n equal-length sentences into an n x e matrix."""
+    if token_vectors.values.ndim not in (2, 3):
+        raise ContractError(f"token_vectors must be T x d or T x n x d, got {token_vectors.shape}")
     n_steps = token_vectors.shape[0]
     if n_steps == 0:
         raise DataError("empty sentence: nothing to encode")

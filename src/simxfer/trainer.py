@@ -2,9 +2,12 @@
 
 One training run: per epoch, seeded shuffle, fixed-size batches (the
 last partial batch is kept), one tape per batch, loss per setting,
-backward, Adam step.  After each epoch the dev split is scored with its
-metric; the best-epoch checkpoint is returned.  Training stops after
-``patience`` epochs without dev improvement or at ``max_epochs``.
+backward, Adam step.  A batch is embedded and scored as a whole, through
+the forward path that prediction uses too; parameter sets the setting
+freezes cost only their forward pass.  After each epoch the dev split is
+scored with its metric; the best-epoch checkpoint is returned.  Training
+stops after ``patience`` epochs without dev improvement or at
+``max_epochs``.
 
 The hyperparameter grid defaults to batch sizes {32, 64}, learning rates
 {0.1, 0.01, 0.001, 0.0001} and epoch budgets {10, 30, 50}; every cell is
@@ -19,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import InferenceTape, Tape, Tensor, backward, concat, cosine, mean_over_axis, zero_grads
+from .autodiff import Tape, Tensor, backward, cosine, mean_over_axis, zero_grads
 from .data import DatasetSplit, ScoredPair
 from .errors import ContractError, NumericError
 from .metrics import pearson, spearman
@@ -28,10 +31,10 @@ from .transfer import (
     TransferConfig,
     classifier_forward,
     dnt_loss,
-    embed_sentence,
+    embed_pairs,
     ft_loss,
     normalize_score,
-    predict,
+    predict_pairs,
     rescale_to_bins,
     sparse_target_distribution,
     trainable_parameter_sets,
@@ -113,55 +116,28 @@ class TrainingHistory:
         return len(self.train_losses)
 
 
-class _EmbeddingCache:
-    """Precomputed sentence embeddings for settings that freeze wem and enc."""
-
-    def __init__(self, model: SimilarityModel):
-        self.model = model
-        self.cache: dict[str, np.ndarray] = {}
-
-    def get(self, sentence: str) -> Tensor:
-        values = self.cache.get(sentence)
-        if values is None:
-            with InferenceTape():
-                values = embed_sentence(self.model, sentence).values
-            self.cache[sentence] = values
-        return Tensor(values)
-
-
-def _pair_embeddings(model: SimilarityModel, pair: ScoredPair,
-                     cache: _EmbeddingCache | None) -> tuple[Tensor, Tensor]:
-    if cache is not None:
-        return cache.get(pair.sentence_a), cache.get(pair.sentence_b)
-    return embed_sentence(model, pair.sentence_a), embed_sentence(model, pair.sentence_b)
-
-
-def batch_loss(model: SimilarityModel, config: TransferConfig, pairs: list[ScoredPair],
-               cache: _EmbeddingCache | None = None) -> Tensor:
+def batch_loss(model: SimilarityModel, config: TransferConfig,
+               pairs: list[ScoredPair]) -> Tensor:
     """Batch training loss on the active tape (mean over the m pairs)."""
     if config.setting == "UE":
         raise ContractError("UE has no training loss")
+    h_left, h_right = embed_pairs(model, pairs)
     if config.setting == "DNT":
-        cosines, targets = [], []
-        for pair in pairs:
-            h_left, h_right = _pair_embeddings(model, pair, cache)
-            cosines.append(cosine(h_left, h_right))
-            targets.append(normalize_score(pair.score, pair.score_range, config.norm_range))
-        return dnt_loss(cosines, targets, norm_range=config.norm_range)
-    losses = []
-    for pair in pairs:
-        h_left, h_right = _pair_embeddings(model, pair, cache)
-        p_hat, _ = classifier_forward(h_left, h_right, model.classifier)
-        target = sparse_target_distribution(
-            rescale_to_bins(pair.score, pair.score_range, config.bins), config.bins)
-        losses.append(ft_loss(target, p_hat, config.loss_kind))
-    return mean_over_axis(concat(losses), axis=0)
+        targets = [normalize_score(pair.score, pair.score_range, config.norm_range)
+                   for pair in pairs]
+        return dnt_loss(cosine(h_left, h_right), targets, norm_range=config.norm_range)
+    p_hat, _ = classifier_forward(h_left, h_right, model.classifier)
+    targets = np.array([
+        sparse_target_distribution(rescale_to_bins(pair.score, pair.score_range, config.bins),
+                                   config.bins)
+        for pair in pairs])
+    return mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
 
 
 def evaluate_split(model: SimilarityModel, config: TransferConfig,
                    pairs: list[ScoredPair], metric: str) -> float:
     """Correlation of raw predictions against raw annotated scores."""
-    predictions = [predict(config, model, pair) for pair in pairs]
+    predictions = predict_pairs(config, model, pairs)
     gold = [pair.score for pair in pairs]
     if metric == "pearson":
         return pearson(predictions, gold)
@@ -195,9 +171,6 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     params = _trainable_tensors(model, transfer_config)
     if not params:
         raise ContractError("freeze policy leaves nothing to train")
-    frozen_embedding = not model.embedding.trainable and not any(
-        t.trainable for t in model.encoder_params.tensors())
-    cache = _EmbeddingCache(model) if frozen_embedding else None
 
     state = AdamState(params)
     rng = np.random.default_rng(training_config.seed)
@@ -211,7 +184,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
             batch = shuffled[start : start + training_config.batch_size]
             zero_grads(params)
             with Tape() as tape:
-                loss = batch_loss(model, transfer_config, batch, cache)
+                loss = batch_loss(model, transfer_config, batch)
             backward(tape, loss)
             adam_step(params, None, state, training_config.learning_rate)
             epoch_losses.append(float(loss.values))

@@ -10,17 +10,23 @@ DNT - direct network transfer: no head at all; the encoder is trained so
 
 FT and NT regress onto a sparse distribution over integer score bins
 1..K; DNT regresses cosine onto scores normalized into [0,1] or [-1,1].
+
+Training, evaluation and prediction share one forward path:
+``embed_sentences`` embeds all sentences of a batch at once, and the
+heads and losses take one row per pair.  Prediction builds one graph per
+slice of ``SCORE_SLICE`` pairs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
-    InferenceTape,
+    Tape,
     Tensor,
     absolute,
     add,
@@ -28,13 +34,15 @@ from .autodiff import (
     cosine,
     elementwise_multiply,
     log,
+    lookup_rows,
     matmul,
     mean_over_axis,
     sigmoid,
     softmax,
     subtract,
+    transpose,
 )
-from .embeddings import EmbeddingMatrix, Vocabulary, lookup, tokenize
+from .embeddings import EmbeddingMatrix, Vocabulary, tokenize
 from .encoders import EncoderConfig, EncoderParameters, encode
 from .errors import ContractError, DataError, ShapeError
 
@@ -44,6 +52,11 @@ NORM_RANGES = ((0.0, 1.0), (-1.0, 1.0))
 
 DEFAULT_BINS = 5
 DEFAULT_HIDDEN_WIDTH = 50
+
+# Pairs per prediction graph.  One graph over a few thousand pairs holds
+# all their saved activations at once; 256-pair slices keep scoring
+# memory near that of training.
+SCORE_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -182,11 +195,35 @@ class SimilarityModel:
             t.values = snapshot[name].copy()
 
 
-def embed_sentence(model: SimilarityModel, text: str) -> Tensor:
-    """tokenize -> lookup -> encode, on the active tape."""
-    tokens = tokenize(text)
-    vectors = lookup(model.embedding, model.vocabulary, tokens)
-    return encode(model.encoder_params, model.encoder_config, vectors)
+def embed_sentences(model: SimilarityModel, sentences: Sequence[str]) -> Tensor:
+    """tokenize -> lookup -> encode for a batch of sentences, on the active tape.
+
+    Returns an n x e tensor whose row i embeds ``sentences[i]``.  Each
+    distinct sentence is encoded once, and the sentences of one token
+    length are encoded together from one T x n x d lookup.
+    """
+    by_length: dict[int, dict[str, list[int]]] = {}
+    for text in dict.fromkeys(sentences):
+        tokens = tokenize(text)
+        if not tokens:
+            raise DataError("empty sentence: no tokens to look up")
+        by_length.setdefault(len(tokens), {})[text] = [model.vocabulary.lookup(t) for t in tokens]
+    row: dict[str, int] = {}
+    parts = []
+    for group in by_length.values():
+        for text in group:
+            row[text] = len(row)
+        vectors = lookup_rows(model.embedding.matrix, np.array(list(group.values())).T)
+        parts.append(encode(model.encoder_params, model.encoder_config, vectors))
+    return lookup_rows(concat(parts, axis=0), [row[text] for text in sentences])
+
+
+def embed_pairs(model: SimilarityModel, pairs: Sequence) -> tuple[Tensor, Tensor]:
+    """m x e embeddings of the first and of the second sentences of the
+    pairs, from one ``embed_sentences`` call."""
+    m = len(pairs)
+    both = embed_sentences(model, [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs])
+    return lookup_rows(both, range(m)), lookup_rows(both, range(m, 2 * m))
 
 
 def normalize_score(y: float, source_range: tuple[float, float],
@@ -228,81 +265,90 @@ def classifier_forward(h_left: Tensor, h_right: Tensor,
                        params: ClassifierParameters) -> tuple[Tensor, Tensor]:
     """Head forward pass: returns (bin distribution, expected score).
 
-    Features are the elementwise product and the absolute difference of
-    the two embeddings; the expected score is sum(i * p_i) over bins
-    1..K, so it always lies in [1, K].
+    Takes one pair's two embedding vectors, or m x e matrices with one
+    row per pair.  Features are the elementwise product and the absolute
+    difference of the two embeddings; the expected score is
+    sum(i * p_i) over bins 1..K, so it always lies in [1, K].
     """
-    if h_left.shape != h_right.shape or h_left.values.ndim != 1:
+    if h_left.shape != h_right.shape or h_left.values.ndim not in (1, 2):
         raise ShapeError("classifier_forward", h_left.shape, h_right.shape)
-    if params.w_times.shape[1] != h_left.shape[0]:
+    if params.w_times.shape[1] != h_left.shape[-1]:
         raise ShapeError("classifier_forward", params.w_times.shape, h_left.shape,
                          detail="head width does not match embedding dim")
     h_times = elementwise_multiply(h_left, h_right)
     h_plus = absolute(subtract(h_left, h_right))
-    hidden = sigmoid(add(add(matmul(params.w_times, h_times),
-                             matmul(params.w_plus, h_plus)), params.b_h))
-    p_hat = softmax(add(matmul(params.w_p, hidden), params.b_p))
+    hidden = sigmoid(add(add(matmul(h_times, transpose(params.w_times)),
+                             matmul(h_plus, transpose(params.w_plus))), params.b_h))
+    p_hat = softmax(add(matmul(hidden, transpose(params.w_p)), params.b_p))
     bin_values = Tensor(np.arange(1, params.bins + 1, dtype=np.float64))
-    y_hat = matmul(bin_values, p_hat)
+    y_hat = matmul(p_hat, bin_values)
     return p_hat, y_hat
 
 
 def ft_loss(p: np.ndarray, p_hat: Tensor, kind: str) -> Tensor:
-    """Per-pair loss between a target distribution and the head output.
+    """Per-pair loss between target distributions and the head output.
 
-    MSE averages squared bin differences; KL is sum p_i ln(p_i / p_hat_i)
-    with the 0 ln 0 terms dropped (natural log).
+    ``p`` and ``p_hat`` are one distribution (a scalar loss) or m rows of
+    them (m losses).  MSE averages squared bin differences; KL is
+    sum p_i ln(p_i / p_hat_i) with the 0 ln 0 terms dropped (natural log).
     """
     p = np.asarray(p, dtype=np.float64)
     if kind not in LOSS_KINDS:
         raise ContractError(f"unknown loss kind {kind!r}")
     if p.shape != p_hat.shape:
         raise ShapeError("ft_loss", p.shape, p_hat.shape)
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
+    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(p < -1e-12):
         raise ContractError("target p is not a distribution")
     if np.any(p_hat.values <= 0):
         raise ContractError("p_hat must be strictly positive (softmax output)")
     if kind == "MSE":
         diff = subtract(p_hat, Tensor(p))
-        return mean_over_axis(elementwise_multiply(diff, diff), axis=0)
-    mass = p[p > 0]
-    entropy_term = float(np.dot(mass, np.log(mass)))  # constant in p_hat
-    cross = matmul(Tensor(p), log(p_hat))
+        return mean_over_axis(elementwise_multiply(diff, diff), axis=p.ndim - 1)
+    # sum p ln p, constant in p_hat
+    entropy_term = (p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum(axis=-1)
+    cross = matmul(elementwise_multiply(Tensor(p), log(p_hat)), Tensor(np.ones(p.shape[-1])))
     return subtract(Tensor(entropy_term), cross)
 
 
-def dnt_loss(cosines: list[Tensor], targets: list[float],
+def dnt_loss(cosines: Tensor, targets: Sequence[float],
              norm_range: tuple[float, float] | None = None) -> Tensor:
-    """Mean squared residual between pair cosines and normalized scores."""
-    if len(cosines) != len(targets):
-        raise ContractError(f"{len(cosines)} cosines vs {len(targets)} targets")
-    if not cosines:
+    """Mean squared residual between a vector of pair cosines and normalized scores."""
+    if cosines.values.ndim != 1 or cosines.shape[0] != len(targets):
+        raise ContractError(f"cosines of shape {cosines.shape} vs {len(targets)} targets")
+    if not len(targets):
         raise ContractError("dnt_loss requires at least one pair")
     if norm_range is not None:
         lo, hi = norm_range
         for t in targets:
             if t < lo - 1e-9 or t > hi + 1e-9:
                 raise ContractError(f"target {t} outside normalization range [{lo}, {hi}]")
-    predictions = concat(cosines)
-    residual = subtract(predictions, Tensor(np.asarray(targets, dtype=np.float64)))
+    residual = subtract(cosines, Tensor(np.asarray(targets, dtype=np.float64)))
     return mean_over_axis(elementwise_multiply(residual, residual), axis=0)
 
 
-def predict(config: TransferConfig, model: SimilarityModel, pair) -> float:
-    """Raw predicted score for one sentence pair.
+def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequence) -> list[float]:
+    """Raw predicted scores for sentence pairs, one graph per ``SCORE_SLICE`` pairs.
 
     UE and DNT predict embedding cosine; FT and NT predict the head's
     expected bin score.
     """
     if config.setting in ("FT", "NT") and model.classifier is None:
         raise ContractError(f"{config.setting} prediction requires a classifier head")
-    with InferenceTape():
-        h_left = embed_sentence(model, pair.sentence_a)
-        h_right = embed_sentence(model, pair.sentence_b)
-        if config.setting in ("UE", "DNT"):
-            return float(cosine(h_left, h_right).values)
-        _, y_hat = classifier_forward(h_left, h_right, model.classifier)
-        return float(y_hat.values)
+    scores: list[float] = []
+    for start in range(0, len(pairs), SCORE_SLICE):
+        with Tape():
+            h_left, h_right = embed_pairs(model, pairs[start : start + SCORE_SLICE])
+            if config.setting in ("UE", "DNT"):
+                out = cosine(h_left, h_right)
+            else:
+                _, out = classifier_forward(h_left, h_right, model.classifier)
+        scores.extend(out.values.tolist())
+    return scores
+
+
+def predict(config: TransferConfig, model: SimilarityModel, pair) -> float:
+    """Raw predicted score for one sentence pair."""
+    return predict_pairs(config, model, [pair])[0]
 
 
 def rescale_to_bins(score: float, score_range: tuple[float, float], bins: int,

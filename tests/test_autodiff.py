@@ -78,6 +78,21 @@ def test_cosine_zero_norm_guard():
     assert not ok.degenerate
 
 
+def test_batched_cosine_marks_any_degenerate_row():
+    u = Tensor([[0.0, 0.0], [1.0, 2.0]], trainable=True)
+    v = Tensor([[0.0, 0.0], [2.0, 1.0]], trainable=True)
+    with Tape() as tape:
+        out = cosine(u, v)
+        loss = ad.matmul(out, Tensor([1.0, 1.0]))
+    assert out.values.tolist() == [0.0, pytest.approx(0.8, abs=1e-15)]
+    assert out.degenerate
+    backward(tape, loss)
+    assert u.grad[0].tolist() == [0.0, 0.0] and v.grad[0].tolist() == [0.0, 0.0]
+    with Tape():
+        fine = cosine(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[1.0, 1.0], [0.0, 1.0]]))
+    assert not fine.degenerate
+
+
 def test_cosine_length_mismatch():
     with Tape():
         with pytest.raises(ShapeError):
@@ -168,7 +183,7 @@ def test_backward_survives_cross_tape_reuse():
     p = Tensor([1.0, 2.0], trainable=True)
     with Tape() as tape:
         loss = ad.matmul(p, p)
-    with ad.InferenceTape():
+    with Tape():
         ad.matmul(p, Tensor([1.0, 1.0]))
     backward(tape, loss)
     assert p.grad.tolist() == [2.0, 4.0]
@@ -198,16 +213,11 @@ def test_finished_tape_is_freed_without_cycle_collector():
         gc.enable()
 
 
-def test_inference_tape_records_nothing():
-    with ad.InferenceTape() as tape:
-        out = ad.tanh(Tensor([0.5, -0.5]))
-    assert tape.nodes == []
-    assert np.allclose(out.values, np.tanh([0.5, -0.5]))
-
-
 def _scalarize(out):
     """Reduce any primitive output to a scalar with a fixed linear probe."""
-    flat = out if out.values.ndim <= 1 else ad.mean_over_axis(out, axis=0)
+    flat = out
+    while flat.values.ndim > 1:
+        flat = ad.mean_over_axis(flat, axis=0)
     if flat.values.ndim == 0:
         return flat
     probe = Tensor(np.cos(np.arange(flat.shape[0])) + 0.5)
@@ -216,10 +226,10 @@ def _scalarize(out):
 
 # (name, builder) pairs: builder(rng) -> (fn, params) for grad_check
 def _primitive_cases():
-    def binary(op, shape=(5,)):
+    def binary(op, shape=(5,), other_shape=None):
         def build(rng):
             a = Tensor(rng.normal(size=shape), trainable=True)
-            b = Tensor(rng.normal(size=shape), trainable=True)
+            b = Tensor(rng.normal(size=other_shape or shape), trainable=True)
             return lambda: _scalarize(op(a, b)), [a, b]
         return build
 
@@ -273,6 +283,21 @@ def _primitive_cases():
         v = Tensor(rng.normal(size=(5,)), trainable=True)
         return lambda: cosine(u, v), [u, v]
 
+    def cosine_rows_case(rng):
+        u = Tensor(rng.normal(size=(3, 4)), trainable=True)
+        v = Tensor(rng.normal(size=(3, 4)), trainable=True)
+        return lambda: _scalarize(cosine(u, v)), [u, v]
+
+    def concat_last_axis_case(rng):
+        a = Tensor(rng.normal(size=(3, 2)), trainable=True)
+        b = Tensor(rng.normal(size=(3, 4)), trainable=True)
+        return lambda: _scalarize(ad.concat((a, b), axis=-1)), [a, b]
+
+    def stack_matrices_case(rng):
+        a = Tensor(rng.normal(size=(2, 3)), trainable=True)
+        b = Tensor(rng.normal(size=(2, 3)), trainable=True)
+        return lambda: _scalarize(ad.stack((a, b))), [a, b]
+
     return [
         ("add", binary(ad.add)),
         ("subtract", binary(ad.subtract)),
@@ -292,6 +317,22 @@ def _primitive_cases():
         ("mean_over_axis", mean_axis_case),
         ("max_over_axis", max_axis_case),
         ("cosine", cosine_case),
+        ("add_broadcast_bias", binary(ad.add, shape=(3, 4), other_shape=(4,))),
+        ("subtract_broadcast", binary(ad.subtract, shape=(3, 1), other_shape=(3, 4))),
+        ("multiply_broadcast", binary(ad.elementwise_multiply, shape=(2, 3, 4),
+                                      other_shape=(3, 1))),
+        ("transpose", unary(ad.transpose, shape=(3, 4))),
+        ("transpose_3d", unary(ad.transpose, shape=(2, 3, 4))),
+        ("concat_last_axis", concat_last_axis_case),
+        ("stack_matrices", stack_matrices_case),
+        ("select_row_3d", unary(lambda t: ad.select_row(t, 1), shape=(3, 2, 4))),
+        ("mean_over_axis_3d", unary(lambda t: ad.mean_over_axis(t, axis=1), shape=(3, 2, 4))),
+        ("max_over_axis_3d_first", unary(lambda t: ad.max_over_axis(t, axis=0),
+                                         shape=(3, 2, 4))),
+        ("max_over_axis_3d_last", unary(lambda t: ad.max_over_axis(t, axis=2),
+                                        shape=(3, 2, 4))),
+        ("softmax_rows", unary(ad.softmax, shape=(3, 5))),
+        ("cosine_rows", cosine_rows_case),
     ]
 
 

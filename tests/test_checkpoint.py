@@ -47,6 +47,14 @@ def test_negative_dimension_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_rejected(tmp_path, value):
+    path = tmp_path / "bad.ckpt"
+    path.write_text(f"simxfer-checkpoint 1\nw 2\n{float(1).hex()} {value}\n")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "absent.ckpt")

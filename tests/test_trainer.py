@@ -5,6 +5,7 @@ import pytest
 
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
+from simxfer import autodiff as ad
 from simxfer.autodiff import Tape, Tensor, backward, zero_grads
 from simxfer.errors import ContractError, NumericError
 from simxfer.trainer import (
@@ -182,6 +183,34 @@ def test_batch_loss_matches_manual_dnt(rng):
         for p in pairs
     ])
     assert value == pytest.approx(manual, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", [
+    TransferConfig("FT", loss_kind="KL", bins=5),
+    TransferConfig("NT", loss_kind="MSE", bins=5, freeze_wem=True),
+    DNT_LOCKED,
+    DNT,
+], ids=["FT", "NT", "DNT", "DNT+wem"])
+def test_backward_computes_no_adjoint_for_a_frozen_embedding_matrix(config, monkeypatch):
+    model = make_model(kind="bilstm-avg", dim=3, bins=5, seed=61)
+    model.apply_freeze_policy(config)
+    lookup_kernel = ad._BACKWARD["lookup"]
+
+    def guarded(node, g):
+        if node.inputs[0] is model.embedding.matrix:
+            raise AssertionError("dense adjoint computed for the embedding matrix")
+        return lookup_kernel(node, g)
+
+    monkeypatch.setitem(ad._BACKWARD, "lookup", guarded)
+    with Tape() as tape:
+        loss = batch_loss(model, config, random_pairs(6, seed=62))
+    if not config.freeze_wem:  # the guard does fire when the matrix trains
+        with pytest.raises(AssertionError):
+            backward(tape, loss)
+        return
+    backward(tape, loss)
+    trained = [t for t in model.named_tensors().values() if t.trainable]
+    assert trained and all(t.grad is not None for t in trained)
 
 
 # --- grid search ------------------------------------------------------------

@@ -5,21 +5,26 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bilstm_reference_embedding
+
 from simxfer.autodiff import Tape, Tensor, grad_check, softmax
 from simxfer.data import ScoredPair
-from simxfer.embeddings import EmbeddingMatrix, Vocabulary
-from simxfer.encoders import EncoderConfig, init_encoder
+from simxfer.embeddings import EmbeddingMatrix, Vocabulary, lookup, tokenize
+from simxfer.encoders import EncoderConfig, encode, init_encoder
 from simxfer.errors import ContractError, DataError, ShapeError
 from simxfer.transfer import (
+    SCORE_SLICE,
     ClassifierParameters,
     SimilarityModel,
     TransferConfig,
     classifier_forward,
     dnt_loss,
+    embed_sentences,
     ft_loss,
     init_classifier,
     normalize_score,
     predict,
+    predict_pairs,
     rescale_to_bins,
     sparse_target_distribution,
     trainable_parameter_sets,
@@ -210,8 +215,7 @@ def test_ft_loss_gradient_matches_finite_differences(rng):
 def test_dnt_loss_examples():
     def loss(cosine_values, targets):
         with Tape():
-            cosines = [Tensor(np.float64(c)) for c in cosine_values]
-            return float(dnt_loss(cosines, targets).values)
+            return float(dnt_loss(Tensor(cosine_values), targets).values)
 
     assert loss([1.0], [1.0]) == 0.0
     assert loss([0.5], [1.0]) == pytest.approx(0.25, abs=1e-15)
@@ -221,9 +225,9 @@ def test_dnt_loss_examples():
 def test_dnt_loss_contract_errors():
     with Tape():
         with pytest.raises(ContractError):
-            dnt_loss([Tensor(np.float64(0.5))], [0.5, 0.6])
+            dnt_loss(Tensor([0.5]), [0.5, 0.6])
         with pytest.raises(ContractError):
-            dnt_loss([Tensor(np.float64(0.5))], [1.5], norm_range=(0.0, 1.0))
+            dnt_loss(Tensor([0.5]), [1.5], norm_range=(0.0, 1.0))
 
 
 def test_dnt_loss_nonnegative_and_zero_iff_exact(rng):
@@ -232,12 +236,10 @@ def test_dnt_loss_nonnegative_and_zero_iff_exact(rng):
         cos_vals = rng.uniform(-1, 1, size=m)
         targets = rng.uniform(0, 1, size=m)
         with Tape():
-            value = float(dnt_loss([Tensor(np.float64(c)) for c in cos_vals],
-                                   list(targets)).values)
+            value = float(dnt_loss(Tensor(cos_vals), list(targets)).values)
         assert value >= 0
         with Tape():
-            exact = float(dnt_loss([Tensor(np.float64(t)) for t in targets],
-                                   list(targets)).values)
+            exact = float(dnt_loss(Tensor(targets), list(targets)).values)
         assert exact == pytest.approx(0.0, abs=1e-15)
 
 
@@ -274,6 +276,65 @@ def test_predict_requires_head_for_ft():
     model = toy_model()
     with pytest.raises(ContractError):
         predict(TransferConfig("FT", loss_kind="KL", bins=5), model, pair("a", "b"))
+
+
+# --- the batched forward path -----------------------------------------------
+
+
+def _reference_embedding(model, text):
+    """Plain-numpy embedding of one sentence, without the tape."""
+    vectors = model.embedding.matrix.values[[model.vocabulary.lookup(t) for t in tokenize(text)]]
+    if model.encoder_config.kind == "word-average":
+        return vectors.mean(axis=0)
+    params = {}
+    for tag, direction in (("fw", model.encoder_params.forward),
+                           ("bw", model.encoder_params.backward)):
+        params[tag] = tuple({g: t.values for g, t in table.items()}
+                            for table in (direction.w, direction.u, direction.b))
+    return bilstm_reference_embedding(params, vectors, model.encoder_config.kind[len("bilstm-"):])
+
+
+@pytest.mark.parametrize("kind", ["word-average", "bilstm-avg", "bilstm-max"])
+def test_embed_sentences_matches_per_sentence_encode(kind):
+    model = toy_model(kind=kind, hidden=3)
+    # mixed lengths, out-of-vocabulary tokens and repeats, in no length order
+    sentences = ["a b film", "movie", "zzz a", "a b film", "c d a b", "qq rr", "film",
+                 "movie", "d c b a"]
+    with Tape():
+        batched = embed_sentences(model, sentences).values
+    assert batched.shape == (len(sentences), model.encoder_config.output_dim)
+    for row, text in zip(batched, sentences):
+        with Tape():
+            vectors = lookup(model.embedding, model.vocabulary, tokenize(text))
+            single = encode(model.encoder_params, model.encoder_config, vectors).values
+        assert np.allclose(row, single, rtol=0, atol=1e-12)
+        assert np.allclose(row, _reference_embedding(model, text), rtol=0, atol=1e-12)
+
+
+def test_embed_sentences_rejects_empty_sentence():
+    with Tape():
+        with pytest.raises(DataError):
+            embed_sentences(toy_model(), ["a b", "  "])
+
+
+@pytest.mark.parametrize("config", [
+    TransferConfig("UE"),
+    TransferConfig("DNT", norm_range=(0.0, 1.0)),
+    TransferConfig("FT", loss_kind="MSE", bins=5),
+    TransferConfig("NT", loss_kind="KL", bins=5),
+], ids=lambda c: c.setting)
+def test_predict_pairs_matches_predict_pair_by_pair(config):
+    model = toy_model(kind="bilstm-max", hidden=3, classifier_bins=5)
+    rng = np.random.default_rng(17)
+    words = ["a", "b", "c", "d", "film", "movie", "zzz"]
+
+    def sentence():
+        return " ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+
+    pairs = [pair(sentence(), sentence()) for _ in range(SCORE_SLICE + 44)]
+    batched = predict_pairs(config, model, pairs)
+    one_by_one = [predict(config, model, p) for p in pairs]
+    assert np.allclose(batched, one_by_one, rtol=0, atol=1e-12)
 
 
 # --- config and freeze matrix ----------------------------------------------
