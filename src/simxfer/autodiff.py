@@ -181,11 +181,6 @@ def _bwd_multiply(node, g):
     return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
 
-def _fwd_absolute(values, attrs):
-    (a,) = values
-    return np.abs(a), {}
-
-
 def _bwd_absolute(node, g):
     return (g * np.sign(node.inputs[0].values),)
 
@@ -201,19 +196,9 @@ def _bwd_sigmoid(node, g):
     return (g * s * (1.0 - s),)
 
 
-def _fwd_tanh(values, attrs):
-    (a,) = values
-    return np.tanh(a), {}
-
-
 def _bwd_tanh(node, g):
     t = node.output.values
     return (g * (1.0 - t * t),)
-
-
-def _fwd_transpose(values, attrs):
-    (a,) = values
-    return a.T, {}
 
 
 def _bwd_transpose(node, g):
@@ -305,11 +290,6 @@ def _bwd_softmax(node, g):
     return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
 
-def _fwd_scale(values, attrs):
-    (a,) = values
-    return a * attrs["factor"], {}
-
-
 def _bwd_scale(node, g):
     return (g * node.attrs["factor"],)
 
@@ -356,10 +336,10 @@ _FORWARD: dict[str, Callable] = {
     "add": _numpy_kernel("add", np.add),
     "subtract": _numpy_kernel("subtract", np.subtract),
     "elementwise_multiply": _numpy_kernel("elementwise_multiply", np.multiply),
-    "absolute": _fwd_absolute,
+    "absolute": _numpy_kernel("absolute", np.abs),
     "sigmoid": _fwd_sigmoid,
-    "tanh": _fwd_tanh,
-    "transpose": _fwd_transpose,
+    "tanh": _numpy_kernel("tanh", np.tanh),
+    "transpose": _numpy_kernel("transpose", np.transpose),
     "concat": _numpy_kernel("concat", lambda *parts, axis: np.concatenate(parts, axis=axis)),
     "stack": _numpy_kernel("stack", lambda *rows: np.stack(rows)),
     "select_row": _fwd_select_row,
@@ -367,7 +347,7 @@ _FORWARD: dict[str, Callable] = {
     "mean_over_axis": _fwd_mean,
     "max_over_axis": _fwd_max,
     "softmax": _fwd_softmax,
-    "scale": _fwd_scale,
+    "scale": _numpy_kernel("scale", lambda a, factor: a * factor),
     "log": _fwd_log,
     "cosine": _fwd_cosine,
 }

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands:
-  run    one experiment using the first value of each hyperparameter list
-  grid   the full hyperparameter grid, reporting every cell
+  run    a one-cell grid: the grid's first cell in tie-break order, i.e.
+         the smallest value of each hyperparameter list
+  grid   the full hyperparameter grid, reporting every cell and keeping
+         only the winning cell's model
   eval   untrained (UE) evaluation only
   table  aggregate report files into one model x dataset table
 
@@ -22,7 +24,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .data import DatasetSplit, LoadResult, load_generic_tsv, load_sick, load_sts_benchmark, split_dataset
@@ -37,7 +39,6 @@ from .trainer import (
     HyperGrid,
     evaluate_split,
     grid_search,
-    train,
 )
 from .transfer import (
     DEFAULT_BINS,
@@ -153,12 +154,11 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
         data_format = need("data.format")
         if data_format not in ("generic", "sts_benchmark", "sick"):
             raise SpecError(f"{path}: unknown data.format {data_format!r}")
+        metric = entries.get("metric", "pearson")
         if data_format == "generic":
             score_range = (float(need("data.score_lo")), float(need("data.score_hi")))
-            metric = entries.get("metric", "pearson")
         else:
             score_range = (0.0, 5.0) if data_format == "sts_benchmark" else (1.0, 5.0)
-            metric = entries.get("metric", "pearson")
             if metric != "pearson":
                 raise SpecError(f"{path}: {data_format} reports Pearson's r; metric must be pearson")
         if metric not in ("pearson", "spearman"):
@@ -202,6 +202,7 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             patience=int(entries.get("train.patience", "5")),
             seed=seed,
         )
+        grid.cells()  # rejects non-positive grid values before any file is read
 
         train_path = _resolve(need("data.train"))
         spec = ExperimentSpec(
@@ -223,6 +224,10 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             classifier_seed=int(entries.get("classifier.seed", str(seed + 2))),
             grid=grid,
         )
+        if not 0.0 < spec.dev_fraction < 1.0:
+            raise SpecError(f"{path}: data.dev_fraction must lie strictly between 0 and 1")
+        if spec.classifier_hidden <= 0:
+            raise SpecError(f"{path}: classifier.hidden must be positive")
     except (ValueError, ContractError) as exc:
         raise SpecError(f"{path}: {exc}") from exc
     return spec
@@ -423,25 +428,23 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
     if mode == "eval":
         model = model_factory()
     else:
-        train_split = DatasetSplit("train", train_pairs, spec.metric)
-        dev_split = DatasetSplit("dev", dev_pairs, spec.metric)
+        grid = spec.grid
         if mode == "run":
-            cell = spec.grid.cells()[0]
-            model, history = train(model_factory(), spec.transfer, train_split, dev_split, cell)
-            report.cells = [(cell.batch_size, cell.learning_rate, cell.max_epochs,
-                             history.best_dev_correlation)]
-            best_config, best_history = cell, history
-        else:
-            result = grid_search(model_factory, spec.transfer, train_split, dev_split, spec.grid)
-            model = result.best_model
-            best_config, best_history = result.best_config, result.best_history
-            report.cells = [(c.config.batch_size, c.config.learning_rate,
-                             c.config.max_epochs, c.dev_correlation) for c in result.cells]
-        report.dev_correlation = best_history.best_dev_correlation
-        report.best_batch_size = best_config.batch_size
-        report.best_learning_rate = best_config.learning_rate
-        report.best_max_epochs = best_config.max_epochs
-        report.best_epoch = best_history.best_epoch
+            first = grid.cells()[0]
+            grid = replace(grid, batch_sizes=(first.batch_size,),
+                           learning_rates=(first.learning_rate,),
+                           epoch_budgets=(first.max_epochs,))
+        result = grid_search(model_factory, spec.transfer,
+                             DatasetSplit("train", train_pairs, spec.metric),
+                             DatasetSplit("dev", dev_pairs, spec.metric), grid)
+        model = result.best_model
+        report.cells = [(c.config.batch_size, c.config.learning_rate,
+                         c.config.max_epochs, c.dev_correlation) for c in result.cells]
+        report.dev_correlation = result.best_history.best_dev_correlation
+        report.best_batch_size = result.best_config.batch_size
+        report.best_learning_rate = result.best_config.learning_rate
+        report.best_max_epochs = result.best_config.max_epochs
+        report.best_epoch = result.best_history.best_epoch
 
     report.test_correlation = evaluate_split(model, spec.transfer,
                                              test_result.pairs, spec.metric)

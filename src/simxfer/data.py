@@ -61,14 +61,6 @@ class DatasetSplit:
         if len(ranges) != 1:
             raise ContractError(f"{self.name} split mixes score ranges {ranges}")
 
-    @property
-    def scores(self) -> list[float]:
-        return [p.score for p in self.pairs]
-
-    @property
-    def score_range(self) -> tuple[float, float]:
-        return self.pairs[0].score_range
-
 
 @dataclass
 class LoadResult:

@@ -50,18 +50,10 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingMatrix:
-    """Row matrix of word vectors; ``trainable`` is the freeze switch."""
+    """Row matrix of word vectors; ``matrix.trainable`` is the freeze switch."""
 
     matrix: Tensor
     dim: int
-
-    @property
-    def trainable(self) -> bool:
-        return self.matrix.trainable
-
-    @trainable.setter
-    def trainable(self, value: bool) -> None:
-        self.matrix.trainable = bool(value)
 
 
 @dataclass

@@ -88,10 +88,6 @@ class EncoderParameters:
     def named_tensors(self) -> dict[str, Tensor]:
         return {t.name: t for t in self.tensors()}
 
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.tensors():
-            t.trainable = flag
-
 
 def _init_direction(rng: np.random.Generator, tag: str, d: int, h: int) -> LstmDirection:
     bound = 1.0 / np.sqrt(h)
@@ -151,7 +147,7 @@ def encode(params: EncoderParameters, config: EncoderConfig, token_vectors: Tens
     rows = [select_row(token_vectors, t) for t in range(n_steps)]
     fwd = _lstm_states(params.forward, rows, config.hidden_dim)
     bwd = list(reversed(_lstm_states(params.backward, rows[::-1], config.hidden_dim)))
-    per_step = stack([concat((f, b)) for f, b in zip(fwd, bwd)])
+    per_step = concat((stack(fwd), stack(bwd)))
     if config.kind == "bilstm-avg":
         return mean_over_axis(per_step, axis=0)
     return max_over_axis(per_step, axis=0)

@@ -11,7 +11,9 @@ stops after ``patience`` epochs without dev improvement or at
 
 The hyperparameter grid defaults to batch sizes {32, 64}, learning rates
 {0.1, 0.01, 0.001, 0.0001} and epoch budgets {10, 30, 50}; every cell is
-scored by dev correlation of its early-stopped model.
+scored by dev correlation of its early-stopped model.  ``grid_search``
+picks the winner in one pass over the cells in tie-break order and keeps
+only the winning cell's model; the CLI's ``run`` is a one-cell grid.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward, cosine, mean_over_axis, zero_grads
 from .data import DatasetSplit, ScoredPair
 from .errors import ContractError, NumericError
-from .metrics import pearson, spearman
+from .metrics import correlation
 from .transfer import (
     SimilarityModel,
     TransferConfig,
@@ -37,7 +39,6 @@ from .transfer import (
     predict_pairs,
     rescale_to_bins,
     sparse_target_distribution,
-    trainable_parameter_sets,
 )
 
 DEFAULT_BATCH_SIZES = (32, 64)
@@ -49,6 +50,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 UNDEFINED_CORRELATION = -1.0  # early-stopping sentinel for constant predictions
+TIE_TOLERANCE = 1e-12  # dev correlations closer than this tie
 
 
 @dataclass(frozen=True)
@@ -138,21 +140,7 @@ def evaluate_split(model: SimilarityModel, config: TransferConfig,
                    pairs: list[ScoredPair], metric: str) -> float:
     """Correlation of raw predictions against raw annotated scores."""
     predictions = predict_pairs(config, model, pairs)
-    gold = [pair.score for pair in pairs]
-    if metric == "pearson":
-        return pearson(predictions, gold)
-    if metric == "spearman":
-        return spearman(predictions, gold)
-    raise ContractError(f"unknown metric {metric!r}")
-
-
-def _trainable_tensors(model: SimilarityModel, config: TransferConfig) -> list[Tensor]:
-    names = trainable_parameter_sets(config)
-    out: list[Tensor] = []
-    for name, tensors in model.parameter_sets().items():
-        if name in names:
-            out.extend(tensors)
-    return out
+    return correlation(metric, predictions, [pair.score for pair in pairs]).coefficient
 
 
 def train(model: SimilarityModel, transfer_config: TransferConfig,
@@ -168,7 +156,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     if transfer_config.setting in ("FT", "NT") and model.classifier is None:
         raise ContractError(f"{transfer_config.setting} training requires a classifier head")
     model.apply_freeze_policy(transfer_config)
-    params = _trainable_tensors(model, transfer_config)
+    params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
     if not params:
         raise ContractError("freeze policy leaves nothing to train")
 
@@ -247,47 +235,35 @@ class GridSearchResult:
     cells: list[CellResult]
 
 
-def select_best_cell(results: list[CellResult]) -> int:
-    """Argmax dev correlation; differences below 1e-12 count as ties and
-    fall back to (smaller lr, smaller batch, fewer epochs)."""
-    best = -1
-    for i, cell in enumerate(results):
-        if cell.error is not None:
-            continue
-        if best < 0 or cell.dev_correlation > results[best].dev_correlation + 1e-12:
-            best = i
-        elif abs(cell.dev_correlation - results[best].dev_correlation) <= 1e-12:
-            key = (cell.config.learning_rate, cell.config.batch_size, cell.config.max_epochs)
-            best_key = (results[best].config.learning_rate, results[best].config.batch_size,
-                        results[best].config.max_epochs)
-            if key < best_key:
-                best = i
-    if best < 0:
-        raise NumericError("all grid cells failed: " +
-                           "; ".join(c.error or "?" for c in results))
-    return best
-
-
 def grid_search(model_factory: Callable[[], SimilarityModel], transfer_config: TransferConfig,
                 train_split: DatasetSplit, dev_split: DatasetSplit,
                 grid: HyperGrid) -> GridSearchResult:
-    """Evaluate every grid cell, in order, on a fresh identically-initialized
-    model, and keep the cell that ``select_best_cell`` picks."""
+    """Train every grid cell on a fresh identically-initialized model and
+    keep the one with the highest dev correlation.
 
-    def run_cell(cfg: TrainingConfig):
-        model = model_factory()
+    Cells run in ``grid.cells()`` order, so a later cell replaces the
+    running winner only when it is better by more than ``TIE_TOLERANCE``:
+    ties go to the smaller lr, then batch, then epochs.  A losing cell's
+    model is dropped before the next cell's is built.  A cell that raises
+    ``NumericError`` is reported with its error; if every cell does, the
+    search raises.
+    """
+    cells: list[CellResult] = []
+    best: tuple[CellResult, SimilarityModel, TrainingHistory] | None = None
+    for cfg in grid.cells():
         try:
-            model, history = train(model, transfer_config, train_split, dev_split, cfg)
-            corr = (history.best_dev_correlation
-                    if history.best_dev_correlation > -np.inf else UNDEFINED_CORRELATION)
-            return CellResult(cfg, corr, history.best_epoch, history.epochs_run), model, history
+            model, history = train(model_factory(), transfer_config, train_split, dev_split, cfg)
         except NumericError as exc:
-            return CellResult(cfg, UNDEFINED_CORRELATION, -1, 0, error=str(exc)), None, None
-
-    outcomes = [run_cell(cfg) for cfg in grid.cells()]
-    results = [o[0] for o in outcomes]
-    winner = select_best_cell(results)
-    _, best_model, best_history = outcomes[winner]
-    if best_model is None:
-        raise NumericError("selected grid cell has no model")
-    return GridSearchResult(results[winner].config, best_model, best_history, results)
+            cells.append(CellResult(cfg, UNDEFINED_CORRELATION, -1, 0, error=str(exc)))
+            continue
+        # best_dev_correlation stays -inf only if no epoch had a defined one
+        cell = CellResult(cfg, max(history.best_dev_correlation, UNDEFINED_CORRELATION),
+                          history.best_epoch, history.epochs_run)
+        cells.append(cell)
+        if best is None or cell.dev_correlation > best[0].dev_correlation + TIE_TOLERANCE:
+            best = (cell, model, history)
+        model = history = None  # a loser must not live through the next cell
+    if best is None:
+        raise NumericError("all grid cells failed: " + "; ".join(c.error for c in cells))
+    winner, best_model, best_history = best
+    return GridSearchResult(winner.config, best_model, best_history, cells)

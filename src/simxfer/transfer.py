@@ -127,10 +127,6 @@ class ClassifierParameters:
     def named_tensors(self) -> dict[str, Tensor]:
         return {t.name: t for t in self.tensors()}
 
-    def set_trainable(self, flag: bool) -> None:
-        for t in self.tensors():
-            t.trainable = flag
-
     @property
     def bins(self) -> int:
         return self.w_p.shape[0]

@@ -298,6 +298,24 @@ def test_spec_error_exit_code(tmp_path):
     assert main(["run", "--spec", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("train.patience", "0"),
+    ("train.batch_sizes", "0"),
+    ("train.learning_rates", "-0.1"),
+    ("train.epoch_budgets", "0"),
+    ("data.dev_fraction", "1.5"),
+    ("classifier.hidden", "0"),
+])
+def test_bad_grid_and_model_values_are_spec_errors(tmp_path, capsys, key, value):
+    # every data path is missing, so a check made after loading would exit 2
+    missing = str(tmp_path / "missing.tsv")
+    spec = write_spec(tmp_path, **{"transfer.setting": "FT", "transfer.loss": "KL",
+                                   "data.train": missing, "data.test": missing,
+                                   "embeddings.path": missing, key: value})
+    assert main(["run", "--spec", str(spec)]) == 1
+    assert "spec error" in capsys.readouterr().err
+
+
 def test_data_error_exit_code(tmp_path):
     spec = write_spec(tmp_path, **{"data.train": str(tmp_path / "missing.tsv"),
                                    "transfer.setting": "DNT",

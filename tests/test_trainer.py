@@ -1,23 +1,25 @@
 """Tests for Adam, the training loop, early stopping, and grid search."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
 from simxfer import autodiff as ad
+from simxfer import trainer
 from simxfer.autodiff import Tape, Tensor, backward, zero_grads
 from simxfer.errors import ContractError, NumericError
 from simxfer.trainer import (
     AdamState,
-    CellResult,
     HyperGrid,
     TrainingConfig,
+    TrainingHistory,
     adam_step,
     batch_loss,
     evaluate_split,
     grid_search,
-    select_best_cell,
     train,
 )
 from simxfer.transfer import TransferConfig
@@ -227,23 +229,78 @@ def test_grid_cells_ordered_for_tie_break():
     assert key == sorted(key)
 
 
-def test_select_best_cell_tie_break():
-    def cell(lr, batch, epochs, corr):
-        return CellResult(TrainingConfig(batch_size=batch, learning_rate=lr,
-                                         max_epochs=epochs), corr, 0, 1)
+def fake_grid_search(monkeypatch, outcomes, on_train=None):
+    """Run ``grid_search`` with ``trainer.train`` replaced by a fake that gives
+    each cell, keyed by (lr, batch, epochs), a fixed dev correlation or, for
+    a string, raises ``NumericError`` with that text.  The grid is the product
+    of the keys' values; a cell without a key scores 0."""
+    def fake_train(model, transfer_config, train_split, dev_split, cfg):
+        if on_train is not None:
+            on_train(model)
+        outcome = outcomes.get((cfg.learning_rate, cfg.batch_size, cfg.max_epochs), 0.0)
+        if isinstance(outcome, str):
+            raise NumericError(outcome)
+        return model, TrainingHistory(train_losses=[0.0], dev_correlations=[outcome],
+                                      best_epoch=0, best_dev_correlation=outcome)
 
-    results = [cell(0.01, 64, 30, 0.5), cell(0.001, 32, 10, 0.5 + 5e-13)]
-    assert select_best_cell(results) == 1  # tie -> smaller lr wins
-    results = [cell(0.01, 64, 30, 0.5), cell(0.001, 32, 10, 0.6)]
-    assert select_best_cell(results) == 1
-    results = [cell(0.001, 32, 10, 0.7), cell(0.01, 64, 30, 0.5)]
-    assert select_best_cell(results) == 0
+    monkeypatch.setattr(trainer, "train", fake_train)
+    pairs = random_pairs(4, seed=1)
+    grid = HyperGrid(batch_sizes=tuple({k[1] for k in outcomes}),
+                     learning_rates=tuple({k[0] for k in outcomes}),
+                     epoch_budgets=tuple({k[2] for k in outcomes}))
+    return grid_search(lambda: make_model(kind="word-average", dim=3), DNT,
+                       as_split("train", pairs), as_split("dev", pairs), grid)
 
 
-def test_select_best_cell_all_failed():
-    bad = CellResult(TrainingConfig(), -1.0, -1, 0, error="boom")
-    with pytest.raises(NumericError):
-        select_best_cell([bad])
+def chosen(result):
+    cfg = result.best_config
+    return cfg.learning_rate, cfg.batch_size, cfg.max_epochs
+
+
+def test_grid_search_tie_keeps_earlier_cell(monkeypatch):
+    # within 1e-12 of the running best: the smaller lr, batch, epochs stays
+    result = fake_grid_search(monkeypatch, {(0.001, 32, 10): 0.5,
+                                            (0.01, 32, 10): 0.5 + 5e-13,
+                                            (0.001, 64, 10): 0.5 - 5e-13,
+                                            (0.001, 32, 30): 0.5 + 1e-12})
+    assert chosen(result) == (0.001, 32, 10)
+    assert result.best_history.best_dev_correlation == 0.5
+
+
+def test_grid_search_strictly_better_later_cell_wins(monkeypatch):
+    result = fake_grid_search(monkeypatch, {(0.001, 32, 10): 0.7,
+                                            (0.01, 64, 30): 0.7 + 1e-9,
+                                            (0.01, 32, 10): 0.5})
+    assert chosen(result) == (0.01, 64, 30)
+    assert len(result.cells) == 8
+
+
+def test_grid_search_skips_failed_cells(monkeypatch):
+    result = fake_grid_search(monkeypatch, {(0.001, 32, 10): "boom", (0.01, 32, 10): 0.2})
+    assert chosen(result) == (0.01, 32, 10)
+    assert [c.error for c in result.cells] == ["boom", None]
+
+
+def test_grid_search_all_cells_failed(monkeypatch):
+    with pytest.raises(NumericError) as err:
+        fake_grid_search(monkeypatch, {(0.001, 32, 10): "boom", (0.01, 32, 10): "bang"})
+    assert str(err.value) == "all grid cells failed: boom; bang"
+
+
+def test_grid_search_holds_at_most_one_earlier_model(monkeypatch):
+    seen = []
+    alive_before = []
+
+    def on_train(model):
+        alive_before.append(sum(ref() is not None for ref in seen))
+        seen.append(weakref.ref(model))
+
+    result = fake_grid_search(monkeypatch, {(0.001, 32, 10): 0.5, (0.01, 32, 10): 0.7,
+                                            (0.03, 32, 10): 0.6, (0.1, 32, 10): 0.4},
+                              on_train=on_train)
+    assert chosen(result) == (0.01, 32, 10)
+    assert alive_before == [0, 1, 1, 1]  # only the running winner survives
+    assert [ref() is not None for ref in seen] == [False, True, False, False]
 
 
 def test_grid_search_singleton():
