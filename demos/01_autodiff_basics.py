@@ -1,8 +1,8 @@
 """A tour of the reverse-mode autodiff core.
 
-Every computation runs inside a Tape context; the tape records each
-primitive so a single backward pass can fill in gradients for the
-trainable leaves.
+Inside a Tape context the tape records each primitive, so a single
+backward pass can return gradients for the trainable leaves.  Outside
+one, primitives just compute their values and record nothing.
 """
 
 import numpy as np
@@ -19,43 +19,39 @@ from simxfer.autodiff import (
     subtract,
 )
 
-# --- forward primitives -----------------------------------------------------
+# --- forward primitives (no tape needed) --------------------------------------
 
-with Tape() as tape:
-    product = forward_primitive("elementwise_multiply", ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))
-    print("elementwise product:", product.values)
+product = forward_primitive("elementwise_multiply", ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))
+print("elementwise product:", product.values)
 
-    uniform = softmax(Tensor([0.0, 0.0, 0.0, 0.0, 0.0]))
-    print("softmax of equal logits:", uniform.values)
+uniform = softmax(Tensor([0.0, 0.0, 0.0, 0.0, 0.0]))
+print("softmax of equal logits:", uniform.values)
 
-    similarity = cosine(Tensor([1.0, 1.0]), Tensor([1.0, 0.0]))
-    print("cosine([1,1],[1,0]) =", float(similarity.values), "(= 1/sqrt(2))")
+similarity = cosine(Tensor([1.0, 1.0]), Tensor([1.0, 0.0]))
+print("cosine([1,1],[1,0]) =", float(similarity.values), "(= 1/sqrt(2))")
 
 # A zero vector cannot produce NaN; the result is 0 with a degeneracy flag.
-with Tape():
-    degenerate = cosine(Tensor([0.0, 0.0]), Tensor([0.0, 0.0]))
-    print("cosine of zero vectors:", float(degenerate.values),
-          "degenerate =", degenerate.degenerate)
+degenerate = cosine(Tensor([0.0, 0.0]), Tensor([0.0, 0.0]))
+print("cosine of zero vectors:", float(degenerate.values),
+      "degenerate =", degenerate.degenerate)
 
 # --- gradients ----------------------------------------------------------------
 
 x = Tensor([1.0, 2.0], trainable=True, name="x")
 with Tape() as tape:
     loss = matmul(x, x)  # sum of squares
-backward(tape, loss)
-print("\nd(sum x^2)/dx at [1, 2]:", x.grad, "(expected [2, 4])")
+grads = backward(tape, loss)
+print("\nd(sum x^2)/dx at [1, 2]:", grads[x], "(expected [2, 4])")
 
-# Gradients accumulate until reset, matching optimizer contracts.
-backward(tape, loss)
-print("after a second backward:", x.grad)
-x.zero_grad()
+# backward stores nothing in the tensors, so a second call on the same tape
+# returns the same gradients; there is nothing to reset between steps.
+print("after a second backward:", backward(tape, loss)[x])
 
 # cosine of a vector with itself is constant 1, so its gradient vanishes
 u = Tensor([0.3, -1.2, 2.0], trainable=True)
 with Tape() as tape:
     loss = cosine(u, u)
-backward(tape, loss)
-print("d cosine(u, u)/du:", u.grad)
+print("d cosine(u, u)/du:", backward(tape, loss)[u])
 
 # --- checking against finite differences ----------------------------------------
 

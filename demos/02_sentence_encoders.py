@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from simxfer.autodiff import Tape, cosine
+from simxfer.autodiff import cosine
 from simxfer.embeddings import load_embeddings, lookup, tokenize
 from simxfer.encoders import EncoderConfig, encode, init_encoder
 
@@ -36,13 +36,12 @@ print("\nembedding three related phrases under each encoder:")
 phrases = ["guitar melody concert", "piano chord melody", "rain storm umbrella"]
 for name, config in configs.items():
     params = init_encoder(config)
-    with Tape():
-        embeddings = []
-        for phrase in phrases:
-            vectors = lookup(result.embedding, result.vocabulary, tokenize(phrase))
-            embeddings.append(encode(params, config, vectors))
-        same_topic = float(cosine(embeddings[0], embeddings[1]).values)
-        cross_topic = float(cosine(embeddings[0], embeddings[2]).values)
+    embeddings = []
+    for phrase in phrases:
+        vectors = lookup(result.embedding, result.vocabulary, tokenize(phrase))
+        embeddings.append(encode(params, config, vectors))
+    same_topic = float(cosine(embeddings[0], embeddings[1]).values)
+    cross_topic = float(cosine(embeddings[0], embeddings[2]).values)
     dim = embeddings[0].shape[0]
     print(f"  {name:<13} dim={dim:<3} cos(music, music)={same_topic:+.3f}  "
           f"cos(music, weather)={cross_topic:+.3f}")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from simxfer.autodiff import Tape, Tensor, softmax
+from simxfer.autodiff import Tensor, softmax
 from simxfer.data import load_generic_tsv
 from simxfer.embeddings import load_embeddings
 from simxfer.encoders import EncoderConfig, init_encoder
@@ -69,12 +69,11 @@ ft = predict(TransferConfig("FT", loss_kind="KL", bins=5), model, pair)
 print(f"UE/DNT prediction (cosine): {ue:.4f}")
 print(f"FT/NT prediction (head expectation over bins): {ft:.4f}")
 
-with Tape():
-    target = sparse_target_distribution(normalize_score(pair.score, (0, 5), (1, 5)), 5)
-    p_hat = softmax(Tensor([0.1, 0.3, 0.2, 0.0, -0.1]))
-    print(f"\nper-pair head losses vs target {np.round(target, 3)}:")
-    print(f"  MSE {float(ft_loss(target, p_hat, 'MSE').values):.5f}   "
-          f"KL {float(ft_loss(target, p_hat, 'KL').values):.5f}")
+target = sparse_target_distribution(normalize_score(pair.score, (0, 5), (1, 5)), 5)
+p_hat = softmax(Tensor([0.1, 0.3, 0.2, 0.0, -0.1]))
+print(f"\nper-pair head losses vs target {np.round(target, 3)}:")
+print(f"  MSE {float(ft_loss(target, p_hat, 'MSE').values):.5f}   "
+      f"KL {float(ft_loss(target, p_hat, 'KL').values):.5f}")
 
-    value = float(dnt_loss(Tensor([0.2, 0.8]), [0.4, 0.4]).values)
-    print(f"squared-cosine batch loss for cosines (0.2, 0.8) vs targets 0.4: {value}")
+value = float(dnt_loss(Tensor([0.2, 0.8]), [0.4, 0.4]).values)
+print(f"squared-cosine batch loss for cosines (0.2, 0.8) vs targets 0.4: {value}")

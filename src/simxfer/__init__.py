@@ -17,7 +17,6 @@ from .autodiff import (
     cosine,
     forward_primitive,
     grad_check,
-    zero_grads,
 )
 from .data import DatasetSplit, ScoredPair, load_generic_tsv, load_sick, load_sts_benchmark, split_dataset
 from .embeddings import EmbeddingMatrix, Vocabulary, load_embeddings, lookup, tokenize

@@ -1,13 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-A ``Tape`` records every primitive application as a node (op kind, input
-tensors, output tensor, saved activations).  ``backward`` walks the
-recorded nodes in reverse, accumulating adjoints keyed by the tensor
-objects themselves and depositing gradients into trainable leaf tensors;
-it skips every node that no trainable leaf feeds.  Tensors hold no
-reference to a tape, so a tape and everything it saved is freed as soon
-as the caller drops it.  Replaying a tape forward reproduces all recorded
-outputs bitwise, which the test suite relies on.
+Inside ``with Tape():`` each primitive application is recorded as a node
+(op kind, inputs, output, saved activations); with no tape open nothing
+is recorded, so forward-only passes keep no graph.  ``backward`` walks
+the nodes in reverse, keying adjoints by the tensor objects, and returns
+the gradients of the trainable leaves; it skips every node that no
+trainable leaf feeds.  Tensors hold no reference to a tape, so a tape and
+everything it saved is freed as soon as the caller drops it.  Replaying a
+tape forward reproduces all recorded outputs bitwise.
 
 Primitives act on a leading batch axis: ``add``, ``subtract`` and
 ``elementwise_multiply`` broadcast (a bias vector against a batch of rows),
@@ -29,19 +29,13 @@ NORM_GUARD = 1e-12  # zero-norm guard for cosine
 
 
 class Tensor:
-    """Dense n-dimensional array with an optional gradient slot.
+    """Dense float64 ndarray ``values``; ``backward`` returns gradients of trainable leaves."""
 
-    ``values`` is a float64 ndarray (row-major).  ``grad`` stays ``None``
-    until a backward pass deposits into it; trainable tensors accumulate
-    additively across backward calls until ``zero_grad``.
-    """
-
-    __slots__ = ("values", "grad", "trainable", "name", "degenerate")
+    __slots__ = ("values", "trainable", "name", "degenerate")
 
     def __init__(self, values, trainable: bool = False, name: str | None = None):
         arr = np.asarray(values, dtype=np.float64)
         self.values = arr
-        self.grad: np.ndarray | None = None
         self.trainable = trainable
         self.name = name
         self.degenerate = False  # set by cosine when both norms vanish
@@ -51,7 +45,6 @@ class Tensor:
         """Internal fast constructor for kernel outputs (already float64)."""
         t = cls.__new__(cls)
         t.values = arr if isinstance(arr, np.ndarray) else np.asarray(arr)
-        t.grad = None
         t.trainable = False
         t.name = None
         t.degenerate = False
@@ -60,14 +53,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, delta: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += delta
 
     def __repr__(self) -> str:
         return f"Tensor({self.name or 'unnamed'}, shape={self.shape}, trainable={self.trainable})"
@@ -87,12 +72,6 @@ class TapeNode:
 
 
 _TAPES: list["Tape"] = []  # the active-tape stack; the innermost tape records
-
-
-def active_tape() -> "Tape":
-    if not _TAPES:
-        raise ContractError("no active tape; wrap the computation in 'with Tape():'")
-    return _TAPES[-1]
 
 
 class Tape:
@@ -378,7 +357,6 @@ _NO_ATTRS: dict = {}
 
 
 def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
-    tape = active_tape()
     if attrs is None:
         attrs = _NO_ATTRS
     tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
@@ -386,12 +364,13 @@ def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Te
     out = Tensor._wrap(out_values)
     if kind == "cosine" and saved["degenerate"].any():
         out.degenerate = True
-    tape.nodes.append(TapeNode(kind, tensors, out, attrs=attrs, saved=saved))
+    if _TAPES:
+        _TAPES[-1].nodes.append(TapeNode(kind, tensors, out, attrs=attrs, saved=saved))
     return out
 
 
 def forward_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Apply a primitive by name and record it on the active tape."""
+    """Apply a primitive by name (recorded if a tape is open)."""
     if kind not in _FORWARD:
         raise ContractError(f"unknown primitive kind {kind!r}")
     return _apply(kind, inputs, attrs)
@@ -480,12 +459,14 @@ def cosine(u, v) -> Tensor:
     return _apply("cosine", (u, v))
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse accumulation from a scalar loss recorded on the tape.
 
-    Deposits gradients (additively) into every reachable trainable leaf
-    tensor; non-trainable leaves receive none.  Nodes that no trainable
-    leaf feeds are skipped, so a frozen input costs no adjoint.
+    Returns ``{leaf: gradient}`` for every trainable leaf the loss
+    reaches; non-trainable leaves get none.  Nodes that no trainable leaf
+    feeds are skipped, so a frozen input costs no adjoint.  Callers must
+    not mutate the returned arrays: they may be shared with kernel outputs
+    and with each other.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -512,42 +493,32 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 adjoints[tensor] = adjoints[tensor] + grad
             else:
                 adjoints[tensor] = np.asarray(grad, dtype=np.float64)
-    for tensor, adjoint in adjoints.items():
-        if tensor.trainable and tensor not in fed:  # leaves only
-            tensor.accumulate_grad(adjoint)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
+    return {t: g for t, g in adjoints.items() if t.trainable and t not in fed}  # leaves only
 
 
 def grad_check(fn: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-5) -> float:
     """Compare reverse-mode gradients of ``fn`` against central differences.
 
-    ``fn`` must build its computation on a fresh tape each call and return
-    a scalar Tensor.  Returns the maximum relative error over every
-    coordinate of every parameter, with denominator
+    ``fn`` builds its computation from scratch each call and returns a
+    scalar Tensor; it runs once on a tape for the analytic gradient and
+    with no tape for each probe.  Returns the maximum relative error over
+    every coordinate of every parameter, with denominator
     max(|analytic|, |numeric|, 1e-8).
     """
     if step <= 0:
         raise ContractError("step must be positive")
-    zero_grads(params)
     with Tape() as tape:
         loss = fn()
     if not np.isfinite(loss.values):
         raise NumericError("grad_check: function value is not finite")
-    backward(tape, loss)
-    analytic = []
+    grads = backward(tape, loss)
     for p in params:
         if not p.trainable:
             raise ContractError(f"grad_check parameter {p!r} must be trainable")
-        analytic.append(np.zeros_like(p.values) if p.grad is None else p.grad.copy())
+    analytic = [grads.get(p, np.zeros_like(p.values)) for p in params]
 
     def evaluate() -> float:
-        with Tape():
-            out = fn()
-        value = float(out.values)
+        value = float(fn().values)
         if not math.isfinite(value):
             raise NumericError("grad_check: function value is not finite")
         return value
@@ -564,5 +535,4 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Tensor], step: float =
             numeric = (f_plus - f_minus) / (2.0 * step)
             denom = max(abs(a[idx]), abs(numeric), 1e-8)
             worst = max(worst, abs(a[idx] - numeric) / denom)
-    zero_grads(params)
     return worst

@@ -32,7 +32,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
     if not lines or lines[0] != FORMAT_HEADER:
         raise DataError(f"{path}: not a checkpoint file (missing '{FORMAT_HEADER}' header)")

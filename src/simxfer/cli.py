@@ -68,7 +68,7 @@ def parse_spec_file(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot open spec file {path}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -276,7 +276,7 @@ def parse_report(path) -> ExperimentReport:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot open report {path}: {exc}") from exc
     if not lines or lines[0] != REPORT_HEADER:
         raise DataError(f"{path}: not a report file (missing '{REPORT_HEADER}')")
@@ -287,9 +287,11 @@ def parse_report(path) -> ExperimentReport:
             continue
         parts = line.split("\t")
         if parts[0] == "cell":
-            if len(parts) != 5:
-                raise DataError(f"{path}: malformed cell line {line!r}")
-            cells.append((int(parts[1]), float(parts[2]), int(parts[3]), float(parts[4])))
+            try:
+                batch, lr, epochs, corr = parts[1:]
+                cells.append((int(batch), float(lr), int(epochs), float(corr)))
+            except ValueError:
+                raise DataError(f"{path}: malformed cell line {line!r}") from None
         elif len(parts) == 2:
             fields[parts[0]] = parts[1]
         else:
@@ -377,6 +379,13 @@ def _load_pairs(spec: ExperimentSpec, path) -> LoadResult:
     return load_generic_tsv(path, *spec.score_range)
 
 
+def _require_two_pairs(path, pairs: list, what: str) -> None:
+    """A split, and a correlation, needs two pairs or more."""
+    if len(pairs) < 2:
+        raise DataError(f"dataset file {path} gives {len(pairs)} {what} pair(s); "
+                        "at least 2 are needed")
+
+
 def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
     """Load data and embeddings, build the model, train per mode, score test."""
     started = time.perf_counter()
@@ -394,8 +403,10 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
         warnings += dev_pairs.warnings
         train_pairs, dev_pairs = train_result.pairs, dev_pairs.pairs
     else:
+        _require_two_pairs(spec.train_path, train_result.pairs, "valid")
         train_pairs, dev_pairs = split_dataset(train_result.pairs, spec.dev_fraction, spec.seed)
     test_result = _load_pairs(spec, spec.test_path)
+    _require_two_pairs(spec.test_path, test_result.pairs, "valid")
     warnings += test_result.warnings
 
     initial_matrix = emb.embedding.matrix.values
@@ -428,6 +439,7 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
     if mode == "eval":
         model = model_factory()
     else:
+        _require_two_pairs(spec.dev_path or spec.train_path, dev_pairs, "dev")
         grid = spec.grid
         if mode == "run":
             first = grid.cells()[0]

@@ -133,7 +133,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def lookup(embedding: EmbeddingMatrix, vocabulary: Vocabulary, tokens: list[str]) -> Tensor:
-    """Map tokens to their embedding rows as a T x d tensor on the tape.
+    """Map tokens to their embedding rows as a T x d tensor.
 
     Out-of-vocabulary tokens map to the unknown row.  Gradients flow back
     into the matrix when it is trainable.

@@ -2,10 +2,11 @@
 
 One training run: per epoch, seeded shuffle, fixed-size batches (the
 last partial batch is kept), one tape per batch, loss per setting,
-backward, Adam step.  A batch is embedded and scored as a whole, through
-the forward path that prediction uses too; parameter sets the setting
-freezes cost only their forward pass.  After each epoch the dev split is
-scored with its metric; the best-epoch checkpoint is returned.  Training
+``backward``, whose returned gradients feed the Adam step.  A batch is
+embedded and scored as a whole, through the forward path that prediction
+uses too; parameter sets the setting freezes cost only their forward
+pass.  After each epoch the dev split is scored with its metric, with no
+tape open; the best epoch's parameters are restored at the end.  Training
 stops after ``patience`` epochs without dev improvement or at
 ``max_epochs``.
 
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cosine, mean_over_axis, zero_grads
+from .autodiff import Tape, Tensor, backward, cosine, mean_over_axis
 from .data import DatasetSplit, ScoredPair
 from .errors import ContractError, NumericError
 from .metrics import correlation
@@ -75,23 +76,16 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray | None] | None,
-              state: AdamState, lr: float) -> None:
-    """Standard Adam update with bias correction.
-
-    Only trainable tensors move; frozen tensors are untouched even with a
-    populated gradient slot.  ``grads=None`` reads each tensor's own grad.
-    """
+def adam_step(grads: dict[Tensor, np.ndarray], state: AdamState, lr: float) -> None:
+    """Standard Adam update with bias correction from the ``grads`` that
+    ``backward`` returns.  Only trainable tensors move, in the state's order."""
     if lr <= 0:
         raise ContractError("learning rate must be positive")
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(params):
-        raise ContractError("params and grads differ in length")
     state.t += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.t
     bias2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g in zip(params, grads):
+    for p in state.m:
+        g = grads.get(p)
         if not p.trainable or g is None:
             continue
         if not np.all(np.isfinite(g)):
@@ -111,7 +105,6 @@ class TrainingHistory:
     dev_correlations: list[float] = field(default_factory=list)
     best_epoch: int = -1
     best_dev_correlation: float = -np.inf
-    best_checkpoint: dict[str, np.ndarray] | None = None
 
     @property
     def epochs_run(self) -> int:
@@ -120,7 +113,7 @@ class TrainingHistory:
 
 def batch_loss(model: SimilarityModel, config: TransferConfig,
                pairs: list[ScoredPair]) -> Tensor:
-    """Batch training loss on the active tape (mean over the m pairs)."""
+    """Batch training loss (mean over the m pairs), recorded on the open tape."""
     if config.setting == "UE":
         raise ContractError("UE has no training loss")
     h_left, h_right = embed_pairs(model, pairs)
@@ -163,6 +156,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     state = AdamState(params)
     rng = np.random.default_rng(training_config.seed)
     history = TrainingHistory()
+    best_checkpoint = None
     epochs_since_best = 0
     for _ in range(training_config.max_epochs):
         order = rng.permutation(len(train_split.pairs))
@@ -170,11 +164,9 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
         epoch_losses = []
         for start in range(0, len(shuffled), training_config.batch_size):
             batch = shuffled[start : start + training_config.batch_size]
-            zero_grads(params)
             with Tape() as tape:
                 loss = batch_loss(model, transfer_config, batch)
-            backward(tape, loss)
-            adam_step(params, None, state, training_config.learning_rate)
+            adam_step(backward(tape, loss), state, training_config.learning_rate)
             epoch_losses.append(float(loss.values))
         history.train_losses.append(float(np.mean(epoch_losses)))
         try:
@@ -185,14 +177,14 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
         if dev_corr > history.best_dev_correlation:
             history.best_dev_correlation = dev_corr
             history.best_epoch = len(history.dev_correlations) - 1
-            history.best_checkpoint = model.snapshot()
+            best_checkpoint = model.snapshot()
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= training_config.patience:
                 break
-    if history.best_checkpoint is not None:
-        model.restore(history.best_checkpoint)
+    if best_checkpoint is not None:
+        model.restore(best_checkpoint)
     return model, history
 
 

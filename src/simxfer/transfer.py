@@ -13,8 +13,9 @@ FT and NT regress onto a sparse distribution over integer score bins
 
 Training, evaluation and prediction share one forward path:
 ``embed_sentences`` embeds all sentences of a batch at once, and the
-heads and losses take one row per pair.  Prediction builds one graph per
-slice of ``SCORE_SLICE`` pairs.
+heads and losses take one row per pair.  Training records the path on a
+tape; prediction runs it with no tape open, so it keeps no graph, one
+slice of ``SCORE_SLICE`` pairs at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Tape,
     Tensor,
     absolute,
     add,
@@ -53,9 +53,9 @@ NORM_RANGES = ((0.0, 1.0), (-1.0, 1.0))
 DEFAULT_BINS = 5
 DEFAULT_HIDDEN_WIDTH = 50
 
-# Pairs per prediction graph.  One graph over a few thousand pairs holds
-# all their saved activations at once; 256-pair slices keep scoring
-# memory near that of training.
+# Pairs per prediction pass.  Prediction records no graph, but one pass
+# over a few thousand pairs still holds their T x n x d lookups at once;
+# 256-pair slices keep scoring memory near that of training.
 SCORE_SLICE = 256
 
 
@@ -192,7 +192,7 @@ class SimilarityModel:
 
 
 def embed_sentences(model: SimilarityModel, sentences: Sequence[str]) -> Tensor:
-    """tokenize -> lookup -> encode for a batch of sentences, on the active tape.
+    """tokenize -> lookup -> encode for a batch of sentences (recorded if a tape is open).
 
     Returns an n x e tensor whose row i embeds ``sentences[i]``.  Each
     distinct sentence is encoded once, and the sentences of one token
@@ -323,7 +323,7 @@ def dnt_loss(cosines: Tensor, targets: Sequence[float],
 
 
 def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequence) -> list[float]:
-    """Raw predicted scores for sentence pairs, one graph per ``SCORE_SLICE`` pairs.
+    """Raw predicted scores for sentence pairs, ``SCORE_SLICE`` pairs per pass, no tape.
 
     UE and DNT predict embedding cosine; FT and NT predict the head's
     expected bin score.
@@ -332,12 +332,11 @@ def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequenc
         raise ContractError(f"{config.setting} prediction requires a classifier head")
     scores: list[float] = []
     for start in range(0, len(pairs), SCORE_SLICE):
-        with Tape():
-            h_left, h_right = embed_pairs(model, pairs[start : start + SCORE_SLICE])
-            if config.setting in ("UE", "DNT"):
-                out = cosine(h_left, h_right)
-            else:
-                _, out = classifier_forward(h_left, h_right, model.classifier)
+        h_left, h_right = embed_pairs(model, pairs[start : start + SCORE_SLICE])
+        if config.setting in ("UE", "DNT"):
+            out = cosine(h_left, h_right)
+        else:
+            _, out = classifier_forward(h_left, h_right, model.classifier)
         scores.extend(out.values.tolist())
     return scores
 

@@ -86,8 +86,8 @@ def test_batched_cosine_marks_any_degenerate_row():
         loss = ad.matmul(out, Tensor([1.0, 1.0]))
     assert out.values.tolist() == [0.0, pytest.approx(0.8, abs=1e-15)]
     assert out.degenerate
-    backward(tape, loss)
-    assert u.grad[0].tolist() == [0.0, 0.0] and v.grad[0].tolist() == [0.0, 0.0]
+    grads = backward(tape, loss)
+    assert grads[u][0].tolist() == [0.0, 0.0] and grads[v][0].tolist() == [0.0, 0.0]
     with Tape():
         fine = cosine(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[1.0, 1.0], [0.0, 1.0]]))
     assert not fine.degenerate
@@ -111,16 +111,14 @@ def test_backward_quadratic():
     x = Tensor([1.0, 2.0], trainable=True)
     with Tape() as tape:
         loss = ad.matmul(x, x)  # sum of squares
-    backward(tape, loss)
-    assert x.grad.tolist() == [2.0, 4.0]
+    assert backward(tape, loss)[x].tolist() == [2.0, 4.0]
 
 
 def test_backward_cosine_of_self_is_constant():
     u = Tensor([0.3, -1.2, 2.0], trainable=True)
     with Tape() as tape:
         loss = cosine(u, u)
-    backward(tape, loss)
-    assert np.allclose(u.grad, 0.0, atol=1e-12)
+    assert np.allclose(backward(tape, loss)[u], 0.0, atol=1e-12)
 
 
 def test_backward_requires_scalar_loss():
@@ -131,24 +129,26 @@ def test_backward_requires_scalar_loss():
         backward(tape, out)
 
 
-def test_backward_accumulates_additively():
+def test_backward_twice_returns_equal_gradients_and_mutates_nothing():
     x = Tensor([3.0], trainable=True)
+    w = Tensor([2.0])
     with Tape() as tape:
-        loss = ad.matmul(x, x)
-    backward(tape, loss)
-    first = x.grad.copy()
-    backward(tape, loss)
-    assert np.allclose(x.grad, 2 * first)
-    x.zero_grad()
-    assert x.grad is None
+        loss = ad.matmul(ad.elementwise_multiply(x, w), x)
+    before = [(t, t.values.copy()) for node in tape.nodes for t in (*node.inputs, node.output)]
+    first = backward(tape, loss)
+    second = backward(tape, loss)
+    assert list(first) == [x] and list(second) == [x]
+    assert first[x].tolist() == second[x].tolist() == [12.0]
+    assert all(np.array_equal(t.values, v) for t, v in before)
+    assert not hasattr(x, "grad")
 
 
 def test_non_trainable_leaves_receive_no_gradient():
     x = Tensor([1.0, 2.0], trainable=False)
+    y = Tensor([1.0, 1.0], trainable=True)
     with Tape() as tape:
-        loss = ad.matmul(x, x)
-    backward(tape, loss)
-    assert x.grad is None
+        loss = ad.matmul(x, ad.add(x, y))
+    assert list(backward(tape, loss)) == [y]
 
 
 def test_unknown_primitive_kind():
@@ -172,9 +172,21 @@ def test_tape_replay_is_bitwise():
     assert float(loss.values) == float(snapshots[-1][1])
 
 
-def test_no_active_tape_raises():
+def test_primitive_outside_tape_records_nothing(monkeypatch):
+    def no_node(*args, **kwargs):
+        raise AssertionError("a node was recorded outside any tape")
+
+    monkeypatch.setattr(ad, "TapeNode", no_node)
+    x = Tensor([1.0, 2.0], trainable=True)
+    out = ad.matmul(ad.add(x, Tensor([2.0, 3.0])), x)
+    assert float(out.values) == 13.0
+
+
+def test_backward_rejects_loss_built_without_tape():
+    x = Tensor([1.0, 2.0], trainable=True)
+    loss = ad.matmul(x, x)
     with pytest.raises(ContractError):
-        ad.add(Tensor([1.0]), Tensor([2.0]))
+        backward(Tape(), loss)
 
 
 def test_backward_survives_cross_tape_reuse():
@@ -185,8 +197,7 @@ def test_backward_survives_cross_tape_reuse():
         loss = ad.matmul(p, p)
     with Tape():
         ad.matmul(p, Tensor([1.0, 1.0]))
-    backward(tape, loss)
-    assert p.grad.tolist() == [2.0, 4.0]
+    assert backward(tape, loss)[p].tolist() == [2.0, 4.0]
 
 
 def test_backward_rejects_loss_from_another_tape():

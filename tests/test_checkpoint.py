@@ -60,6 +60,13 @@ def test_missing_file(tmp_path):
         load_checkpoint(tmp_path / "absent.ckpt")
 
 
+def test_non_utf8_file_is_a_data_error(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    path.write_bytes(b"simxfer-checkpoint 1\n\xff w 1\n0x1.0p+0\n")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
 def test_model_snapshot_round_trip(tmp_path):
     from synthetic import make_model
 

@@ -144,6 +144,21 @@ def test_parse_report_rejects_garbage(tmp_path):
         parse_report(path)
 
 
+@pytest.mark.parametrize("cell", [
+    "cell\tabc\t0.1\t10\t0.3",
+    "cell\t32\t0.1\tten\t0.3",
+    "cell\t32\t0.1\t10",
+], ids=["batch", "epochs", "short"])
+def test_table_rejects_malformed_cell_as_data_error(tmp_path, capsys, cell):
+    path = tmp_path / "r.tsv"
+    write_report(sample_report(), path)
+    path.write_text(path.read_text(encoding="utf-8") + cell + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="malformed cell line"):
+        parse_report(path)
+    assert main(["table", str(path)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 # --- table --------------------------------------------------------------------
 
 
@@ -298,6 +313,12 @@ def test_spec_error_exit_code(tmp_path):
     assert main(["run", "--spec", str(bad)]) == 1
 
 
+def test_non_utf8_spec_is_a_spec_error(tmp_path):
+    bad = tmp_path / "bad.spec"
+    bad.write_bytes(b"name = \xff\n")
+    assert main(["run", "--spec", str(bad)]) == 1
+
+
 @pytest.mark.parametrize("key, value", [
     ("train.patience", "0"),
     ("train.batch_sizes", "0"),
@@ -321,6 +342,29 @@ def test_data_error_exit_code(tmp_path):
                                    "transfer.setting": "DNT",
                                    "train.epoch_budgets": "2"})
     assert main(["run", "--spec", str(spec)]) == 2
+
+
+@pytest.mark.parametrize("key, pairs, extra", [
+    ("data.train", 1, {}),
+    ("data.train", 9, {}),  # a 0.15 dev split of 9 pairs holds one pair
+    ("data.dev", 1, {}),
+    ("data.test", 1, {"data.dev": str(FIXTURES_DIR / "activity_pairs_test.tsv")}),
+], ids=["train-split", "train-split-one-dev-pair", "dev", "test"])
+def test_too_few_pairs_is_a_data_error(tmp_path, capsys, key, pairs, extra):
+    small = tmp_path / "small.tsv"
+    small.write_text("2.00\tguitar piano\tmelody chord\n" * pairs, encoding="utf-8")
+    spec = write_spec(tmp_path, **{"encoder.kind": "bilstm-avg", "encoder.hidden": "4",
+                                   "transfer.setting": "DNT", "train.epoch_budgets": "1",
+                                   **extra, key: str(small)})
+    assert main(["run", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(small) in err
+
+
+def test_eval_needs_no_dev_pairs(tmp_path):
+    small = tmp_path / "small.tsv"
+    small.write_text("2.00\tguitar piano\tmelody chord\n" * 2, encoding="utf-8")
+    assert main(["eval", "--spec", str(write_spec(tmp_path, **{"data.train": str(small)}))]) == 0
 
 
 def test_numeric_error_exit_code(tmp_path):

@@ -129,11 +129,10 @@ def test_gradients_reach_trainable_matrix(tmp_path):
         rows = lookup(result.embedding, result.vocabulary, ["cat", "cat"])
         flat = matmul(rows, np.ones(2))
         loss = matmul(flat, flat)
-    backward(tape, loss)
+    grad = backward(tape, loss)[matrix]
     cat_row = result.vocabulary.lookup("cat")
-    assert matrix.grad is not None
-    assert np.any(matrix.grad[cat_row] != 0)
-    assert np.all(matrix.grad[UNK_INDEX] == 0)
+    assert np.any(grad[cat_row] != 0)
+    assert np.all(grad[UNK_INDEX] == 0)
 
 
 def test_frozen_matrix_receives_no_gradient(tmp_path):
@@ -142,8 +141,7 @@ def test_frozen_matrix_receives_no_gradient(tmp_path):
         rows = lookup(result.embedding, result.vocabulary, ["the"])
         flat = matmul(rows, np.ones(2))
         loss = matmul(flat, flat)
-    backward(tape, loss)
-    assert result.embedding.matrix.grad is None
+    assert result.embedding.matrix not in backward(tape, loss)
 
 
 def test_lookup_of_tokenize_is_deterministic(tmp_path):

@@ -1,0 +1,141 @@
+"""Property tests for the file formats: checkpoints, reports and pair files.
+
+Examples are derandomized and few, so the suite stays deterministic and
+fast; every run checks the same inputs.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from simxfer.checkpoint import load_checkpoint, save_checkpoint
+from simxfer.cli import ExperimentReport, parse_report, write_report
+from simxfer.data import load_generic_tsv, load_sick, load_sts_benchmark
+from simxfer.errors import DataError
+
+FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# one-line text: no control characters (tab, newline, \x1c-\x1e, \x85, ...),
+# line or paragraph separators, or surrogates
+LINE_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+INTS = st.integers(-10**6, 10**6)
+
+
+def _scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop") / "file"
+
+
+# --- checkpoints ----------------------------------------------------------------
+
+
+TENSORS = st.dictionaries(
+    LINE_TEXT,
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=FINITE),
+    max_size=4)
+
+
+@FEW
+@given(tensors=TENSORS)
+def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, tensors):
+    path = _scratch_file(tmp_path_factory)
+    save_checkpoint(path, tensors)
+    loaded = load_checkpoint(path)
+    assert loaded.keys() == tensors.keys()
+    for name, arr in tensors.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()  # keeps -0.0 and subnormals
+
+
+# --- reports --------------------------------------------------------------------
+
+
+@st.composite
+def reports(draw):
+    trained = draw(st.booleans())
+    return ExperimentReport(
+        dataset=draw(LINE_TEXT), metric=draw(LINE_TEXT), encoder=draw(LINE_TEXT),
+        setting=draw(LINE_TEXT), test_correlation=draw(FINITE),
+        dev_correlation=draw(st.none() | FINITE),
+        best_batch_size=draw(INTS) if trained else None,
+        best_learning_rate=draw(FINITE) if trained else None,
+        best_max_epochs=draw(INTS) if trained else None,
+        best_epoch=draw(INTS) if trained else None,
+        warnings=draw(INTS),
+        cells=draw(st.lists(st.tuples(INTS, FINITE, INTS, FINITE), max_size=4)),
+    )
+
+
+@FEW
+@given(report=reports())
+def test_report_round_trip_is_exact(tmp_path_factory, report):
+    path = _scratch_file(tmp_path_factory)
+    write_report(report, path)
+    assert parse_report(path) == report
+
+
+REPORT_KEYS = st.sampled_from([
+    "cell", "dataset", "metric", "encoder", "setting", "test_correlation", "dev_correlation",
+    "best_batch_size", "best_learning_rate", "best_max_epochs", "best_epoch", "warnings"])
+REPORT_VALUES = (st.sampled_from(["32", "0.5", "-1", "abc", "nan", "1e400", ""])
+                 | st.text(max_size=4))
+REPORT_LINES = (
+    st.tuples(REPORT_KEYS, REPORT_VALUES).map("\t".join)
+    | st.lists(REPORT_VALUES, min_size=4, max_size=4).map(lambda f: "\t".join(["cell", *f]))
+    | st.lists(REPORT_KEYS | REPORT_VALUES, max_size=6).map("\t".join))
+REPORT_TEXT = st.lists(REPORT_LINES, max_size=8).map(
+    lambda lines: "simxfer-report 1\n" + "\n".join(lines) + "\n")
+
+
+@FEW
+@given(content=REPORT_TEXT.map(lambda t: t.encode("utf-8", "surrogatepass"))
+       | st.binary(max_size=64))
+def test_parse_report_returns_or_raises_data_error(tmp_path_factory, content):
+    path = _scratch_file(tmp_path_factory)
+    path.write_bytes(content)
+    try:
+        assert isinstance(parse_report(path), ExperimentReport)
+    except DataError:
+        pass
+
+
+# --- pair files -----------------------------------------------------------------
+
+
+SCORES = st.sampled_from(["0", "1", "2.5", "5", "-0.5", "7", "nan", "inf", "-inf", "1e400",
+                          "NaN", "x", ""])
+SENTENCES = st.sampled_from(["the cat", "a dog runs", "", " ", "!!"]) | st.text(max_size=4)
+NOISE = st.lists(SCORES | SENTENCES, max_size=8).map("\t".join)
+# (loader, header line or None, fields of a well-formed line from score, sentence_a, sentence_b)
+LOADERS = {
+    "generic": (lambda path: load_generic_tsv(path, 0.0, 5.0), None, lambda y, a, b: [y, a, b]),
+    "sts_benchmark": (load_sts_benchmark, None,
+                      lambda y, a, b: ["main-captions", "MSRvid", "2012test", "0001", y, a, b]),
+    "sick": (load_sick, "pair_ID\tsentence_A\tsentence_B\trelatedness_score",
+             lambda y, a, b: ["1", a, b, y]),
+}
+
+
+@FEW
+@given(name=st.sampled_from(sorted(LOADERS)), data=st.data())
+def test_pair_loaders_keep_finite_scores_and_count_every_line(tmp_path_factory, name, data):
+    load, header, layout = LOADERS[name]
+    def shaped(scores, sentences):
+        return st.builds(lambda *f: "\t".join(layout(*f)), scores, sentences, sentences)
+
+    valid = shaped(st.sampled_from(["1", "2.5", "5"]), st.sampled_from(["the cat", "a dog"]))
+    lines = data.draw(st.lists(valid | shaped(SCORES, SENTENCES) | NOISE, max_size=12))
+    text = "\n".join([header] * (header is not None) + lines) + "\n"
+    path = _scratch_file(tmp_path_factory)
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    data_lines = [line for line in text.splitlines()[header is not None:] if line.strip()]
+    try:
+        result = load(path)
+    except DataError:
+        return  # no valid pair
+    assert all(math.isfinite(p.score) for p in result.pairs)
+    assert len(result.pairs) + result.warnings == len(data_lines)

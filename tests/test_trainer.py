@@ -9,7 +9,7 @@ from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs
 
 from simxfer import autodiff as ad
 from simxfer import trainer
-from simxfer.autodiff import Tape, Tensor, backward, zero_grads
+from simxfer.autodiff import Tape, Tensor, backward, matmul, subtract
 from simxfer.errors import ContractError, NumericError
 from simxfer.trainer import (
     AdamState,
@@ -34,7 +34,7 @@ DNT_LOCKED = TransferConfig("DNT", norm_range=(0.0, 1.0), freeze_wem=True)
 def test_adam_first_step_closed_form():
     p = Tensor(np.array(0.0), trainable=True, name="p")
     state = AdamState([p])
-    adam_step([p], [np.array(1.0)], state, lr=0.001)
+    adam_step({p: np.array(1.0)}, state, lr=0.001)
     # m_hat = 1, v_hat = 1 -> step = lr / (1 + eps)
     assert float(p.values) == pytest.approx(-0.001 / (1 + 1e-8), abs=1e-12)
     assert state.t == 1
@@ -43,14 +43,14 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_gradient_means_no_update():
     p = Tensor([1.0, -2.0], trainable=True, name="p")
     state = AdamState([p])
-    adam_step([p], [np.zeros(2)], state, lr=0.1)
+    adam_step({p: np.zeros(2)}, state, lr=0.1)
     assert p.values.tolist() == [1.0, -2.0]
 
 
 def test_adam_skips_frozen_tensors():
     p = Tensor([1.0], trainable=False, name="frozen")
     state = AdamState([p])
-    adam_step([p], [np.array([5.0])], state, lr=0.1)
+    adam_step({p: np.array([5.0])}, state, lr=0.1)
     assert p.values.tolist() == [1.0]
 
 
@@ -58,21 +58,27 @@ def test_adam_rejects_non_finite_gradient():
     p = Tensor([1.0], trainable=True, name="theta")
     state = AdamState([p])
     with pytest.raises(NumericError) as err:
-        adam_step([p], [np.array([np.nan])], state, lr=0.1)
+        adam_step({p: np.array([np.nan])}, state, lr=0.1)
     assert "theta" in str(err.value)
 
 
-def test_adam_reads_grad_slots_when_grads_omitted():
+def test_adam_applies_gradients_returned_by_backward():
     p = Tensor([0.0], trainable=True, name="p")
+    q = Tensor([5.0], trainable=True, name="q")  # in the state but not in the loss
     with Tape() as tape:
-        from simxfer.autodiff import matmul, subtract
-
         loss = matmul(subtract(p, Tensor([3.0])), subtract(p, Tensor([3.0])))
-    backward(tape, loss)
-    state = AdamState([p])
-    adam_step([p], None, state, lr=0.01)
-    assert p.values[0] > 0  # moved toward 3
-    zero_grads([p])
+    state = AdamState([p, q])
+    adam_step(backward(tape, loss), state, lr=0.01)
+    assert p.values[0] == pytest.approx(0.01, abs=1e-9)  # moved toward 3 by lr
+    assert q.values.tolist() == [5.0]
+
+
+def test_adam_error_names_first_non_finite_tensor_in_state_order():
+    a = Tensor([1.0], trainable=True, name="wem.matrix")
+    b = Tensor([1.0], trainable=True, name="enc.w")
+    state = AdamState([a, b])
+    with pytest.raises(NumericError, match="wem.matrix"):
+        adam_step({b: np.array([np.inf]), a: np.array([np.nan])}, state, lr=0.1)
 
 
 # --- training loop ----------------------------------------------------------
@@ -99,16 +105,15 @@ def test_train_determinism():
         model = make_model(kind="bilstm-avg", hidden=3, dim=3, seed=11)
         pairs = overlap_pairs(20, seed=12)
         cfg = TrainingConfig(batch_size=8, learning_rate=0.01, max_epochs=4, patience=5, seed=2)
-        model, history = train(model, DNT, as_split("train", pairs),
-                               as_split("dev", pairs[:10]), cfg)
-        return history
+        return train(model, DNT, as_split("train", pairs), as_split("dev", pairs[:10]), cfg)
 
-    a, b = run(), run()
+    (model_a, a), (model_b, b) = run(), run()
     assert a.train_losses == b.train_losses
     assert a.dev_correlations == b.dev_correlations
     assert a.best_epoch == b.best_epoch
-    for name in a.best_checkpoint:
-        assert np.array_equal(a.best_checkpoint[name], b.best_checkpoint[name])
+    snap_a, snap_b = model_a.snapshot(), model_b.snapshot()
+    for name in snap_a:
+        assert np.array_equal(snap_a[name], snap_b[name])
 
 
 def test_early_stopping_returns_best_epoch():
@@ -210,9 +215,9 @@ def test_backward_computes_no_adjoint_for_a_frozen_embedding_matrix(config, monk
         with pytest.raises(AssertionError):
             backward(tape, loss)
         return
-    backward(tape, loss)
+    grads = backward(tape, loss)
     trained = [t for t in model.named_tensors().values() if t.trainable]
-    assert trained and all(t.grad is not None for t in trained)
+    assert trained and all(t in grads for t in trained)
 
 
 # --- grid search ------------------------------------------------------------

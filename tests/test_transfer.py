@@ -7,6 +7,7 @@ import pytest
 
 from oracles import bilstm_reference_embedding
 
+from simxfer import autodiff
 from simxfer.autodiff import Tape, Tensor, grad_check, softmax
 from simxfer.data import ScoredPair
 from simxfer.embeddings import EmbeddingMatrix, Vocabulary, lookup, tokenize
@@ -335,6 +336,22 @@ def test_predict_pairs_matches_predict_pair_by_pair(config):
     batched = predict_pairs(config, model, pairs)
     one_by_one = [predict(config, model, p) for p in pairs]
     assert np.allclose(batched, one_by_one, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("config", [
+    TransferConfig("UE"),
+    TransferConfig("FT", loss_kind="KL", bins=5),
+], ids=["cosine", "head"])
+def test_predict_pairs_records_no_graph(config, monkeypatch):
+    model = toy_model(kind="bilstm-max", hidden=3, classifier_bins=5)
+    model.apply_freeze_policy(TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=False))
+    expected = predict_pairs(config, model, [pair("a film", "b movie c")])
+
+    def no_node(*args, **kwargs):
+        raise AssertionError("scoring recorded a tape node")
+
+    monkeypatch.setattr(autodiff, "TapeNode", no_node)
+    assert predict_pairs(config, model, [pair("a film", "b movie c")]) == expected
 
 
 # --- config and freeze matrix ----------------------------------------------
