@@ -9,6 +9,9 @@ trainable leaf feeds.  Tensors hold no reference to a tape, so a tape and
 everything it saved is freed as soon as the caller drops it.  Replaying a
 tape forward reproduces all recorded outputs bitwise.
 
+Each primitive kind is one ``_KERNELS`` entry, its (forward, backward)
+kernel pair, which applying, replaying and differentiating all read.
+
 Primitives act on a leading batch axis: ``add``, ``subtract`` and
 ``elementwise_multiply`` broadcast (a bias vector against a batch of rows),
 ``softmax`` and ``cosine`` work along the last axis, and ``concat``,
@@ -95,7 +98,7 @@ class Tape:
         """
         for node in self.nodes:
             values = [t.values for t in node.inputs]
-            out, saved = _FORWARD[node.kind](values, node.attrs)
+            out, saved = _KERNELS[node.kind][0](values, node.attrs)
             node.output.values = out
             node.saved = saved
 
@@ -310,46 +313,26 @@ def _bwd_cosine(node, g):
     return g * gu, g * gv
 
 
-_FORWARD: dict[str, Callable] = {
-    "matmul": _fwd_matmul,
-    "add": _numpy_kernel("add", np.add),
-    "subtract": _numpy_kernel("subtract", np.subtract),
-    "elementwise_multiply": _numpy_kernel("elementwise_multiply", np.multiply),
-    "absolute": _numpy_kernel("absolute", np.abs),
-    "sigmoid": _fwd_sigmoid,
-    "tanh": _numpy_kernel("tanh", np.tanh),
-    "transpose": _numpy_kernel("transpose", np.transpose),
-    "concat": _numpy_kernel("concat", lambda *parts, axis: np.concatenate(parts, axis=axis)),
-    "stack": _numpy_kernel("stack", lambda *rows: np.stack(rows)),
-    "select_row": _fwd_select_row,
-    "lookup": _fwd_lookup,
-    "mean_over_axis": _fwd_mean,
-    "max_over_axis": _fwd_max,
-    "softmax": _fwd_softmax,
-    "scale": _numpy_kernel("scale", lambda a, factor: a * factor),
-    "log": _fwd_log,
-    "cosine": _fwd_cosine,
-}
-
-_BACKWARD: dict[str, Callable] = {
-    "matmul": _bwd_matmul,
-    "add": _bwd_add,
-    "subtract": _bwd_subtract,
-    "elementwise_multiply": _bwd_multiply,
-    "absolute": _bwd_absolute,
-    "sigmoid": _bwd_sigmoid,
-    "tanh": _bwd_tanh,
-    "transpose": _bwd_transpose,
-    "concat": _bwd_concat,
-    "stack": _bwd_stack,
-    "select_row": _bwd_select_row,
-    "lookup": _bwd_lookup,
-    "mean_over_axis": _bwd_mean,
-    "max_over_axis": _bwd_max,
-    "softmax": _bwd_softmax,
-    "scale": _bwd_scale,
-    "log": _bwd_log,
-    "cosine": _bwd_cosine,
+_KERNELS: dict[str, tuple[Callable, Callable]] = {  # kind -> (forward, backward)
+    "matmul": (_fwd_matmul, _bwd_matmul),
+    "add": (_numpy_kernel("add", np.add), _bwd_add),
+    "subtract": (_numpy_kernel("subtract", np.subtract), _bwd_subtract),
+    "elementwise_multiply": (_numpy_kernel("elementwise_multiply", np.multiply), _bwd_multiply),
+    "absolute": (_numpy_kernel("absolute", np.abs), _bwd_absolute),
+    "sigmoid": (_fwd_sigmoid, _bwd_sigmoid),
+    "tanh": (_numpy_kernel("tanh", np.tanh), _bwd_tanh),
+    "transpose": (_numpy_kernel("transpose", np.transpose), _bwd_transpose),
+    "concat": (_numpy_kernel("concat", lambda *parts, axis: np.concatenate(parts, axis=axis)),
+               _bwd_concat),
+    "stack": (_numpy_kernel("stack", lambda *rows: np.stack(rows)), _bwd_stack),
+    "select_row": (_fwd_select_row, _bwd_select_row),
+    "lookup": (_fwd_lookup, _bwd_lookup),
+    "mean_over_axis": (_fwd_mean, _bwd_mean),
+    "max_over_axis": (_fwd_max, _bwd_max),
+    "softmax": (_fwd_softmax, _bwd_softmax),
+    "scale": (_numpy_kernel("scale", lambda a, factor: a * factor), _bwd_scale),
+    "log": (_fwd_log, _bwd_log),
+    "cosine": (_fwd_cosine, _bwd_cosine),
 }
 
 
@@ -360,7 +343,7 @@ def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Te
     if attrs is None:
         attrs = _NO_ATTRS
     tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
-    out_values, saved = _FORWARD[kind]([t.values for t in tensors], attrs)
+    out_values, saved = _KERNELS[kind][0]([t.values for t in tensors], attrs)
     out = Tensor._wrap(out_values)
     if kind == "cosine" and saved["degenerate"].any():
         out.degenerate = True
@@ -371,7 +354,7 @@ def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Te
 
 def forward_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     """Apply a primitive by name (recorded if a tape is open)."""
-    if kind not in _FORWARD:
+    if kind not in _KERNELS:
         raise ContractError(f"unknown primitive kind {kind!r}")
     return _apply(kind, inputs, attrs)
 
@@ -483,7 +466,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         g = adjoints.get(node.output)
         if g is None:
             continue
-        input_grads = _BACKWARD[node.kind](node, g)
+        input_grads = _KERNELS[node.kind][1](node, g)
         for tensor, grad in zip(node.inputs, input_grads):
             if grad is None or not (tensor.trainable or tensor in fed):
                 continue

@@ -27,11 +27,12 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .data import DatasetSplit, LoadResult, load_generic_tsv, load_sick, load_sts_benchmark, split_dataset
+from .data import FIXED_RANGES, FORMATS, DatasetSplit, checked_range, load_pairs, split_dataset
 from .embeddings import EmbeddingMatrix, load_embeddings
-from .encoders import ENCODER_KINDS, EncoderConfig, init_encoder
+from .encoders import EncoderConfig, init_encoder
 from .errors import ContractError, DataError, NumericError, ShapeError, SimxferError, SpecError
 from .autodiff import Tensor
+from .metrics import METRICS
 from .trainer import (
     DEFAULT_BATCH_SIZES,
     DEFAULT_EPOCH_BUDGETS,
@@ -152,16 +153,16 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
 
     try:
         data_format = need("data.format")
-        if data_format not in ("generic", "sts_benchmark", "sick"):
+        if data_format not in FORMATS:
             raise SpecError(f"{path}: unknown data.format {data_format!r}")
         metric = entries.get("metric", "pearson")
-        if data_format == "generic":
-            score_range = (float(need("data.score_lo")), float(need("data.score_hi")))
-        else:
-            score_range = (0.0, 5.0) if data_format == "sts_benchmark" else (1.0, 5.0)
+        if data_format in FIXED_RANGES:
+            score_range = FIXED_RANGES[data_format]
             if metric != "pearson":
                 raise SpecError(f"{path}: {data_format} reports Pearson's r; metric must be pearson")
-        if metric not in ("pearson", "spearman"):
+        else:
+            score_range = checked_range(need("data.score_lo"), need("data.score_hi"))
+        if metric not in METRICS:
             raise SpecError(f"{path}: unknown metric {metric!r}")
 
         seed = seed_override if seed_override is not None else int(entries.get("seed", "0"))
@@ -192,8 +193,6 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             hidden_dim=int(entries.get("encoder.hidden", "0")),
             seed=int(entries.get("encoder.seed", str(seed + 1))),
         )
-        if encoder.kind not in ENCODER_KINDS:
-            raise SpecError(f"{path}: unknown encoder.kind {encoder.kind!r}")
 
         grid = HyperGrid(
             batch_sizes=_ints(entries.get("train.batch_sizes", "")) or DEFAULT_BATCH_SIZES,
@@ -371,14 +370,6 @@ def emit_table(reports: list[ExperimentReport]) -> tuple[str, str]:
     return tsv, pretty
 
 
-def _load_pairs(spec: ExperimentSpec, path) -> LoadResult:
-    if spec.data_format == "sts_benchmark":
-        return load_sts_benchmark(path)
-    if spec.data_format == "sick":
-        return load_sick(path)
-    return load_generic_tsv(path, *spec.score_range)
-
-
 def _require_two_pairs(path, pairs: list, what: str) -> None:
     """A split, and a correlation, needs two pairs or more."""
     if len(pairs) < 2:
@@ -396,16 +387,16 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
 
     emb = load_embeddings(spec.embeddings_path, spec.embeddings_dim)
     warnings = emb.skipped_lines
-    train_result = _load_pairs(spec, spec.train_path)
+    train_result = load_pairs(spec.train_path, spec.data_format, spec.score_range)
     warnings += train_result.warnings
     if spec.dev_path is not None:
-        dev_pairs = _load_pairs(spec, spec.dev_path)
+        dev_pairs = load_pairs(spec.dev_path, spec.data_format, spec.score_range)
         warnings += dev_pairs.warnings
         train_pairs, dev_pairs = train_result.pairs, dev_pairs.pairs
     else:
         _require_two_pairs(spec.train_path, train_result.pairs, "valid")
         train_pairs, dev_pairs = split_dataset(train_result.pairs, spec.dev_fraction, spec.seed)
-    test_result = _load_pairs(spec, spec.test_path)
+    test_result = load_pairs(spec.test_path, spec.data_format, spec.score_range)
     _require_two_pairs(spec.test_path, test_result.pairs, "valid")
     warnings += test_result.warnings
 

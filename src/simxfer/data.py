@@ -1,32 +1,35 @@
 """Similarity-pair dataset parsing, score-range metadata, split management.
 
-Three file formats, all UTF-8 text with LF or CRLF endings:
+Three file formats (``FORMATS``), all UTF-8 text with LF or CRLF endings:
 
-* STS-Benchmark style: tab-separated, score in column 5 (1-indexed),
+* ``sts_benchmark``: tab-separated, score in column 5 (1-indexed),
   sentences in columns 6 and 7, extra trailing columns ignored.
-* SICK style: tab-separated with a header row; columns located by the
+* ``sick``: tab-separated with a header row; columns located by the
   names pair_ID, sentence_A, sentence_B, relatedness_score.
-* generic: ``score TAB sentence_a TAB sentence_b`` with a caller-supplied
-  score range.
+* ``generic``: ``score TAB sentence_a TAB sentence_b`` with a
+  caller-supplied score range.
 
-Malformed lines are skipped and counted; a file yielding zero pairs is
-fatal.  Pairs whose sentences tokenize to nothing are dropped with a
-warning since real similarity files contain stray lines.
+The other two have the ranges in ``FIXED_RANGES``; ``load_pairs`` loads
+any format by name.  Malformed lines, and pairs whose sentences tokenize
+to nothing, are skipped and counted; a file yielding zero pairs is fatal.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import tokenize
 from .errors import ContractError, DataError
+from .metrics import METRICS
 
 logger = logging.getLogger(__name__)
 
-METRIC_KINDS = ("pearson", "spearman")
+FIXED_RANGES = {"sts_benchmark": (0.0, 5.0), "sick": (1.0, 5.0)}
+FORMATS = ("generic", *FIXED_RANGES)
 
 
 @dataclass(frozen=True)
@@ -37,9 +40,7 @@ class ScoredPair:
     score_range: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.score_range
-        if lo >= hi:
-            raise ContractError(f"score range [{lo}, {hi}] has no width")
+        lo, hi = checked_range(*self.score_range)
         if not lo - 1e-9 <= self.score <= hi + 1e-9:  # NaN fails too
             raise ContractError(f"score {self.score} outside range [{lo}, {hi}]")
 
@@ -53,7 +54,7 @@ class DatasetSplit:
     def __post_init__(self):
         if self.name not in ("train", "dev", "test"):
             raise ContractError(f"unknown split name {self.name!r}")
-        if self.metric not in METRIC_KINDS:
+        if self.metric not in METRICS:
             raise ContractError(f"unknown metric {self.metric!r}")
         if not self.pairs:
             raise DataError(f"{self.name} split is empty")
@@ -76,22 +77,31 @@ def _read_lines(path) -> list[str]:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
 
 
-def _build_pair(score_text: str, sentence_a: str, sentence_b: str,
-                score_range: tuple[float, float]) -> ScoredPair | None:
-    """Returns None for anything that should be skipped with a warning."""
-    try:
-        score = float(score_text)
-    except ValueError:
-        return None
+def _parse_lines(path, lines: list[str], columns: tuple[int, int, int], width: int,
+                 score_range: tuple[float, float]) -> LoadResult:
+    """Pairs from the (score, sentence_a, sentence_b) ``columns`` of tab-separated lines.
+
+    Blank lines are ignored; every other line that yields no pair is counted."""
+    score_col, a_col, b_col = columns
     lo, hi = score_range
-    if not lo - 1e-9 <= score <= hi + 1e-9:  # NaN fails too
-        return None
-    if not tokenize(sentence_a) or not tokenize(sentence_b):
-        return None
-    return ScoredPair(sentence_a, sentence_b, score, score_range)
-
-
-def _finish(path, pairs: list[ScoredPair], warnings: int) -> LoadResult:
+    pairs: list[ScoredPair] = []
+    warnings = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) < width:
+            warnings += 1
+            continue
+        try:
+            score = float(fields[score_col])
+        except ValueError:
+            score = math.nan
+        a, b = fields[a_col], fields[b_col]
+        if lo - 1e-9 <= score <= hi + 1e-9 and tokenize(a) and tokenize(b):  # NaN fails
+            pairs.append(ScoredPair(a, b, score, score_range))
+        else:
+            warnings += 1
     if not pairs:
         raise DataError(f"dataset file {path} contains no valid pairs")
     if warnings:
@@ -99,23 +109,17 @@ def _finish(path, pairs: list[ScoredPair], warnings: int) -> LoadResult:
     return LoadResult(pairs, warnings)
 
 
+def checked_range(lo, hi) -> tuple[float, float]:
+    """``(lo, hi)`` as floats; raises ContractError unless lo < hi with a finite width."""
+    lo, hi = float(lo), float(hi)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ContractError(f"score range [{lo}, {hi}] needs lo < hi and a finite width")
+    return lo, hi
+
+
 def load_sts_benchmark(path) -> LoadResult:
     """Parse an STS-Benchmark export; scores are annotated on a 0..5 scale."""
-    pairs: list[ScoredPair] = []
-    warnings = 0
-    for line in _read_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 7:
-            warnings += 1
-            continue
-        pair = _build_pair(fields[4], fields[5], fields[6], (0.0, 5.0))
-        if pair is None:
-            warnings += 1
-            continue
-        pairs.append(pair)
-    return _finish(path, pairs, warnings)
+    return _parse_lines(path, _read_lines(path), (4, 5, 6), 7, FIXED_RANGES["sts_benchmark"])
 
 
 def load_sick(path) -> LoadResult:
@@ -129,44 +133,25 @@ def load_sick(path) -> LoadResult:
     if missing:
         raise DataError(f"{path}: header lacks columns {missing}; found {header}")
     col = {name: header.index(name) for name in required}
-    width = max(col.values()) + 1
-    pairs: list[ScoredPair] = []
-    warnings = 0
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < width:
-            warnings += 1
-            continue
-        pair = _build_pair(fields[col["relatedness_score"]], fields[col["sentence_A"]],
-                           fields[col["sentence_B"]], (1.0, 5.0))
-        if pair is None:
-            warnings += 1
-            continue
-        pairs.append(pair)
-    return _finish(path, pairs, warnings)
+    columns = (col["relatedness_score"], col["sentence_A"], col["sentence_B"])
+    return _parse_lines(path, lines[1:], columns, max(col.values()) + 1, FIXED_RANGES["sick"])
 
 
 def load_generic_tsv(path, lo: float, hi: float) -> LoadResult:
     """Parse ``score TAB sentence_a TAB sentence_b`` lines with range (lo, hi)."""
-    if lo >= hi:
-        raise ContractError(f"score range [{lo}, {hi}] has no width")
-    pairs: list[ScoredPair] = []
-    warnings = 0
-    for line in _read_lines(path):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 3:
-            warnings += 1
-            continue
-        pair = _build_pair(fields[0], fields[1], fields[2], (float(lo), float(hi)))
-        if pair is None:
-            warnings += 1
-            continue
-        pairs.append(pair)
-    return _finish(path, pairs, warnings)
+    score_range = checked_range(lo, hi)
+    return _parse_lines(path, _read_lines(path), (0, 1, 2), 3, score_range)
+
+
+def load_pairs(path, data_format: str, score_range: tuple[float, float]) -> LoadResult:
+    """Load a pair file in any of ``FORMATS``; ``score_range`` is read for generic only."""
+    if data_format == "sts_benchmark":
+        return load_sts_benchmark(path)
+    if data_format == "sick":
+        return load_sick(path)
+    if data_format == "generic":
+        return load_generic_tsv(path, *score_range)
+    raise ContractError(f"unknown data format {data_format!r}")
 
 
 def split_dataset(pairs: list[ScoredPair], dev_fraction: float,

@@ -104,7 +104,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingLoadResult:
         raise DataError(f"embedding file {path} contains no valid lines")
     if skipped:
         logger.warning("embedding file %s: skipped %d malformed lines", path, skipped)
-    unk_row = np.mean(rows, axis=0)
+    with np.errstate(over="ignore"):
+        unk_row = np.mean(rows, axis=0)
+    if not np.isfinite(unk_row).all():  # the sum overflowed; the mean of finite rows cannot
+        unk_row = np.sum(np.divide(rows, len(rows)), axis=0)
     matrix = Tensor(np.vstack([unk_row] + rows), trainable=False, name="wem.matrix")
     return EmbeddingLoadResult(vocab, EmbeddingMatrix(matrix, expected_dim), skipped)
 

@@ -1,4 +1,7 @@
-"""Correlation coefficients used for all evaluation."""
+"""Correlation coefficients used for all evaluation, by name in ``METRICS``.
+
+Inputs must be finite, so a coefficient always lies in [-1, 1].
+"""
 
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"inputs must be equal-length vectors, got {x.shape} and {y.shape}")
     if x.size < 2:
         raise ContractError("correlation needs at least 2 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericError("correlation input is not finite")
     return x, y
 
 
@@ -68,11 +73,10 @@ def spearman(x, y) -> float:
     return pearson(rx, ry)
 
 
+METRICS = {"pearson": pearson, "spearman": spearman}
+
+
 def correlation(metric: str, predictions, gold) -> EvaluationResult:
-    if metric == "pearson":
-        value = pearson(predictions, gold)
-    elif metric == "spearman":
-        value = spearman(predictions, gold)
-    else:
+    if metric not in METRICS:
         raise ContractError(f"unknown metric {metric!r}")
-    return EvaluationResult(metric, value, len(np.asarray(predictions)))
+    return EvaluationResult(metric, METRICS[metric](predictions, gold), len(np.asarray(predictions)))

@@ -20,6 +20,7 @@ only the winning cell's model; the CLI's ``run`` is a one-cell grid.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,7 +51,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-UNDEFINED_CORRELATION = -1.0  # early-stopping sentinel for constant predictions
+UNDEFINED_CORRELATION = -1.0  # early-stopping sentinel for an undefined correlation
 TIE_TOLERANCE = 1e-12  # dev correlations closer than this tie
 
 
@@ -63,8 +64,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.batch_size, self.max_epochs, self.patience) <= 0 or self.learning_rate <= 0:
-            raise ContractError("training config values must be positive")
+        if not (min(self.batch_size, self.max_epochs, self.patience) > 0
+                and 0 < self.learning_rate < math.inf):
+            raise ContractError("training config values must be positive and finite")
 
 
 class AdamState:
@@ -79,8 +81,8 @@ class AdamState:
 def adam_step(grads: dict[Tensor, np.ndarray], state: AdamState, lr: float) -> None:
     """Standard Adam update with bias correction from the ``grads`` that
     ``backward`` returns.  Only trainable tensors move, in the state's order."""
-    if lr <= 0:
-        raise ContractError("learning rate must be positive")
+    if not 0 < lr < math.inf:
+        raise ContractError("learning rate must be positive and finite")
     state.t += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.t
     bias2 = 1.0 - ADAM_BETA2 ** state.t
@@ -141,8 +143,9 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
           training_config: TrainingConfig) -> tuple[SimilarityModel, TrainingHistory]:
     """Train in place and restore the best-dev-epoch checkpoint at the end.
 
-    A dev correlation that is undefined (constant predictions) counts as
-    -1 for the early-stopping comparison and the run continues.
+    A dev correlation that is undefined (constant or non-finite
+    predictions) counts as -1 for the early-stopping comparison and the
+    run continues, so the first epoch is always a best epoch.
     """
     if transfer_config.setting == "UE":
         raise ContractError("UE performs no training")
@@ -183,8 +186,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
             epochs_since_best += 1
             if epochs_since_best >= training_config.patience:
                 break
-    if best_checkpoint is not None:
-        model.restore(best_checkpoint)
+    model.restore(best_checkpoint)
     return model, history
 
 
@@ -248,9 +250,8 @@ def grid_search(model_factory: Callable[[], SimilarityModel], transfer_config: T
         except NumericError as exc:
             cells.append(CellResult(cfg, UNDEFINED_CORRELATION, -1, 0, error=str(exc)))
             continue
-        # best_dev_correlation stays -inf only if no epoch had a defined one
-        cell = CellResult(cfg, max(history.best_dev_correlation, UNDEFINED_CORRELATION),
-                          history.best_epoch, history.epochs_run)
+        cell = CellResult(cfg, history.best_dev_correlation, history.best_epoch,
+                          history.epochs_run)
         cells.append(cell)
         if best is None or cell.dev_correlation > best[0].dev_correlation + TIE_TOLERANCE:
             best = (cell, model, history)

@@ -295,8 +295,6 @@ def ft_loss(p: np.ndarray, p_hat: Tensor, kind: str) -> Tensor:
         raise ShapeError("ft_loss", p.shape, p_hat.shape)
     if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(p < -1e-12):
         raise ContractError("target p is not a distribution")
-    if np.any(p_hat.values <= 0):
-        raise ContractError("p_hat must be strictly positive (softmax output)")
     if kind == "MSE":
         diff = subtract(p_hat, Tensor(p))
         return mean_over_axis(elementwise_multiply(diff, diff), axis=p.ndim - 1)

@@ -359,6 +359,16 @@ def test_primitive_gradients_match_finite_differences(name, builder):
         checks += sum(p.values.size for p in params)
 
 
+def test_gradient_cases_cover_every_primitive_kind():
+    """A primitive added to ``_KERNELS`` without a gradient case fails here."""
+    rng = np.random.default_rng(0)
+    with Tape() as tape:
+        for _, builder in _primitive_cases():
+            fn, _ = builder(rng)
+            fn()
+    assert set(ad._KERNELS) <= {node.kind for node in tape.nodes}
+
+
 def test_grad_check_exact_quadratic():
     x = Tensor([3.0], trainable=True)
 

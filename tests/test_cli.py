@@ -299,6 +299,21 @@ def test_hyperparameter_selection_ignores_test_file(tmp_path):
     assert a.test_correlation != b.test_correlation
 
 
+def test_a_saturated_softmax_fails_only_its_own_grid_cell(tmp_path, monkeypatch):
+    """At lr 100 the FT head's softmax reaches exact zeros and KL's log fails
+    that cell; the lr 0.01 cell still trains and wins."""
+    monkeypatch.setenv("SIMXFER_DATA_DIR", str(REPO_ROOT))
+    entries = parse_spec_file(REPO_ROOT / "fixtures" / "specs" / "ft_wordavg_run.spec")
+    entries.update({"train.learning_rates": "0.01,100", "train.epoch_budgets": "50"})
+    spec = tmp_path / "saturated.spec"
+    spec.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+    out = tmp_path / "grid.tsv"
+    assert main(["grid", "--spec", str(spec), "--out", str(out)]) == 0
+    report = parse_report(out)
+    assert report.best_learning_rate == 0.01
+    assert [(lr, corr) for _, lr, _, corr in report.cells][1] == (100.0, -1.0)
+
+
 # --- exit codes -----------------------------------------------------------------
 
 
@@ -326,6 +341,10 @@ def test_non_utf8_spec_is_a_spec_error(tmp_path):
     ("train.epoch_budgets", "0"),
     ("data.dev_fraction", "1.5"),
     ("classifier.hidden", "0"),
+    ("train.learning_rates", "nan"),
+    ("train.learning_rates", "inf"),
+    ("data.score_lo", "5"),  # equal to data.score_hi
+    ("data.score_lo", "nan"),
 ])
 def test_bad_grid_and_model_values_are_spec_errors(tmp_path, capsys, key, value):
     # every data path is missing, so a check made after loading would exit 2

@@ -116,6 +116,13 @@ def test_generic_out_of_range_skipped(tmp_path):
     assert result.warnings == 1
 
 
+@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 0), (float("nan"), 5), (0, float("inf")),
+                                    (-1e308, 1e308)])
+def test_generic_range_needs_lo_below_hi_and_a_finite_width(tmp_path, lo, hi):
+    with pytest.raises(ContractError):
+        load_generic_tsv(write(tmp_path, "3\tgood line\tanother line\n"), lo, hi)
+
+
 def test_nan_score_skipped_by_every_loader(tmp_path):
     sts_nan = STS_LINE.replace("\t5.00\t", "\tnan\t")
     sick = (SICK_HEADER + "\n1\tA kid plays.\tA child is playing.\tnan\tE\n"

@@ -55,6 +55,12 @@ def test_non_finite_vectors_skipped_and_unk_stays_finite(tmp_path):
     assert np.array_equal(result.embedding.matrix.values[UNK_INDEX], [2.0, 4.0])
 
 
+def test_unk_row_stays_finite_when_the_row_sum_overflows(tmp_path):
+    path = write_vectors(tmp_path, "a 1.7e308 1.0\nb 1.7e308 3.0\n")
+    unk = load_embeddings(path, expected_dim=2).embedding.matrix.values[UNK_INDEX]
+    assert np.allclose(unk, [1.7e308, 2.0], rtol=1e-15)
+
+
 def test_duplicate_tokens_keep_first(tmp_path):
     path = write_vectors(tmp_path, "dog 1 1\ndog 9 9\n")
     result = load_embeddings(path, expected_dim=2)

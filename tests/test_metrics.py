@@ -124,6 +124,15 @@ def test_correlation_wrapper():
         correlation("kendall", [1, 2], [1, 2])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("metric", ["pearson", "spearman"])
+def test_non_finite_input_is_a_numeric_error(metric, bad):
+    with pytest.raises(NumericError):
+        correlation(metric, [1, bad, 3], [1, 2, 3])
+    with pytest.raises(NumericError):
+        correlation(metric, [1, 2, 3], [1, bad, 3])
+
+
 def test_evaluation_result_invariants():
     with pytest.raises(NumericError):
         EvaluationResult("pearson", 1.5, 10)

@@ -1,4 +1,5 @@
-"""Property tests for the file formats: checkpoints, reports and pair files.
+"""Property tests for the file formats: checkpoints, reports, pair files,
+word-vector files and spec files.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast; every run checks the same inputs.
@@ -12,9 +13,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simxfer.checkpoint import load_checkpoint, save_checkpoint
-from simxfer.cli import ExperimentReport, parse_report, write_report
+from simxfer.cli import (
+    _KNOWN_KEYS,
+    ExperimentReport,
+    build_spec,
+    parse_report,
+    parse_spec_file,
+    write_report,
+)
 from simxfer.data import load_generic_tsv, load_sick, load_sts_benchmark
-from simxfer.errors import DataError
+from simxfer.embeddings import load_embeddings
+from simxfer.errors import DataError, SpecError
 
 FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -139,3 +148,68 @@ def test_pair_loaders_keep_finite_scores_and_count_every_line(tmp_path_factory, 
         return  # no valid pair
     assert all(math.isfinite(p.score) for p in result.pairs)
     assert len(result.pairs) + result.warnings == len(data_lines)
+
+
+# --- word-vector files ----------------------------------------------------------
+
+
+VECTOR_DIM = 3
+FINITE_VALUES = st.sampled_from(["0", "1.5", "-2", "1e-300", "1.7e308", "-1.7e308"])
+VALUES = FINITE_VALUES | st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""])
+WORDS = st.sampled_from(["cat", "dog", "<unk>", ""]) | LINE_TEXT
+
+
+def vector_lines(words, values):
+    return st.builds(lambda w, v: " ".join([w, *v]), words,
+                     st.lists(values, min_size=VECTOR_DIM, max_size=VECTOR_DIM))
+
+
+VECTOR_LINES = (vector_lines(st.sampled_from(["cat", "dog", "fog"]), FINITE_VALUES)
+                | vector_lines(WORDS, VALUES)
+                | st.lists(WORDS | VALUES, max_size=6).map(" ".join))
+
+
+@FEW
+@given(lines=st.lists(VECTOR_LINES, max_size=12))
+def test_load_embeddings_keeps_finite_values_and_counts_every_line(tmp_path_factory, lines):
+    path = _scratch_file(tmp_path_factory)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    try:
+        result = load_embeddings(path, VECTOR_DIM)
+    except DataError:
+        return  # no valid line
+    matrix = result.embedding.matrix.values
+    assert np.isfinite(matrix).all()
+    assert matrix.shape[0] - 1 + result.skipped_lines == len(lines)  # row 0 is UNK
+
+
+# --- spec files -----------------------------------------------------------------
+
+
+VALID_SPEC = {
+    "data.format": "generic", "data.train": "train.tsv", "data.test": "test.tsv",
+    "data.score_lo": "0", "data.score_hi": "5", "embeddings.path": "vectors.txt",
+    "embeddings.dim": "4", "transfer.setting": "DNT",
+}
+SPEC_KEYS = st.sampled_from([*sorted(_KNOWN_KEYS), "learning"])
+SPEC_VALUES = st.sampled_from([
+    "0", "1", "5", "-1", "0.5", "0.01,100", "32,0", "nan", "inf", "-inf", "1e400", "", "true",
+    "UE", "FT", "NT", "DNT", "KL", "MSE", "generic", "sick", "sts_benchmark", "pearson",
+    "spearman", "kendall", "word-average", "bilstm-max", "lstm"]) | LINE_TEXT
+
+
+@FEW
+@given(dropped=st.sets(st.sampled_from(sorted(VALID_SPEC)), max_size=1),
+       changed=st.dictionaries(SPEC_KEYS, SPEC_VALUES, max_size=4))
+def test_build_spec_returns_a_runnable_spec_or_raises_spec_error(tmp_path_factory, dropped,
+                                                                 changed):
+    entries = {k: v for k, v in VALID_SPEC.items() if k not in dropped} | changed
+    path = _scratch_file(tmp_path_factory)
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+    try:
+        spec = build_spec(parse_spec_file(path), path)
+    except SpecError:
+        return
+    assert all(0 < lr < math.inf for lr in spec.grid.learning_rates)
+    lo, hi = spec.score_range
+    assert lo < hi and math.isfinite(hi - lo)

@@ -201,14 +201,14 @@ def test_batch_loss_matches_manual_dnt(rng):
 def test_backward_computes_no_adjoint_for_a_frozen_embedding_matrix(config, monkeypatch):
     model = make_model(kind="bilstm-avg", dim=3, bins=5, seed=61)
     model.apply_freeze_policy(config)
-    lookup_kernel = ad._BACKWARD["lookup"]
+    lookup_forward, lookup_kernel = ad._KERNELS["lookup"]
 
     def guarded(node, g):
         if node.inputs[0] is model.embedding.matrix:
             raise AssertionError("dense adjoint computed for the embedding matrix")
         return lookup_kernel(node, g)
 
-    monkeypatch.setitem(ad._BACKWARD, "lookup", guarded)
+    monkeypatch.setitem(ad._KERNELS, "lookup", (lookup_forward, guarded))
     with Tape() as tape:
         loss = batch_loss(model, config, random_pairs(6, seed=62))
     if not config.freeze_wem:  # the guard does fire when the matrix trains

@@ -12,7 +12,7 @@ from simxfer.autodiff import Tape, Tensor, grad_check, softmax
 from simxfer.data import ScoredPair
 from simxfer.embeddings import EmbeddingMatrix, Vocabulary, lookup, tokenize
 from simxfer.encoders import EncoderConfig, encode, init_encoder
-from simxfer.errors import ContractError, DataError, ShapeError
+from simxfer.errors import ContractError, DataError, NumericError, ShapeError
 from simxfer.transfer import (
     SCORE_SLICE,
     ClassifierParameters,
@@ -194,6 +194,15 @@ def test_ft_loss_mse_one_hot_vs_uniform():
     with Tape():
         out = ft_loss(p, Tensor(np.full(5, 0.2)), "MSE")
     assert float(out.values) == pytest.approx(0.16, abs=1e-12)
+
+
+def test_ft_loss_mse_takes_a_saturated_p_hat():
+    # a saturated softmax holds exact zeros: MSE is defined there, KL's log is not
+    p = np.array([0, 0.5, 0.5, 0, 0])
+    one_hot = Tensor(np.array([0, 0, 1.0, 0, 0]))
+    assert float(ft_loss(p, one_hot, "MSE").values) == pytest.approx(0.1, abs=1e-12)
+    with pytest.raises(NumericError):
+        ft_loss(p, one_hot, "KL")
 
 
 def test_ft_loss_rejects_non_distribution():
