@@ -9,6 +9,12 @@ trainable leaf feeds.  Tensors hold no reference to a tape, so a tape and
 everything it saved is freed as soon as the caller drops it.  Replaying a
 tape forward reproduces all recorded outputs bitwise.
 
+A trainable matrix reached only through ``lookup_rows`` gets a
+``RowSparse`` gradient: the sorted rows the lookups read and one adjoint
+row each, so a step costs the rows a batch touches, not the whole matrix.
+Its rows are bitwise those of the dense gradient; every other row of that
+is 0.  A matrix that also feeds a dense primitive gets the dense sum.
+
 Each primitive kind is one ``_KERNELS`` entry, its (forward, backward)
 kernel pair, which applying, replaying and differentiating all read.
 
@@ -59,6 +65,44 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor({self.name or 'unnamed'}, shape={self.shape}, trainable={self.trainable})"
+
+
+class RowSparse:
+    """Gradient of a matrix that is zero outside ``rows``.
+
+    ``rows`` are sorted and unique; ``values[i]`` is the gradient of row
+    ``rows[i]`` of a matrix of ``shape``.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def on_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The values on ``rows``, a sorted superset of ``self.rows``; 0 on the others."""
+        out = np.zeros((len(rows),) + self.shape[1:])
+        out[np.searchsorted(rows, self.rows)] = self.values
+        return out
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+    def __add__(self, other: "RowSparse") -> "RowSparse":
+        """The sum over the union of both row sets, in the order dense addition takes."""
+        rows = np.union1d(self.rows, other.rows)
+        values = self.on_rows(rows)
+        values[np.searchsorted(rows, other.rows)] += other.values
+        return RowSparse(rows, values, self.shape)
+
+
+def dense(grad) -> np.ndarray:
+    """A gradient as a dense array (``RowSparse`` scattered into zeros)."""
+    return grad.dense() if isinstance(grad, RowSparse) else grad
 
 
 class TapeNode:
@@ -220,9 +264,17 @@ def _fwd_lookup(values, attrs):
 
 
 def _bwd_lookup(node, g):
-    out = np.zeros_like(node.inputs[0].values)
-    np.add.at(out, node.attrs["indices"], g)
-    return (out,)
+    matrix = node.inputs[0]
+    indices = node.attrs["indices"]
+    if not matrix.trainable:  # a gathered intermediate: small and dense
+        out = np.zeros_like(matrix.values)
+        np.add.at(out, indices, g)
+        return (out,)
+    # a trainable leaf: coalesce repeated rows in the np.add.at order of the dense adjoint
+    rows, inverse = np.unique(indices, return_inverse=True)
+    values = np.zeros((len(rows),) + matrix.shape[1:])
+    np.add.at(values, inverse.reshape(indices.shape), g)
+    return (RowSparse(rows, values, matrix.shape),)
 
 
 def _check_axis(op: str, a: np.ndarray, axis: int) -> None:
@@ -442,14 +494,26 @@ def cosine(u, v) -> Tensor:
     return _apply("cosine", (u, v))
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+def _add_adjoints(a, b):
+    """a + b; row-sparse adjoints stay row-sparse unless one of them is dense."""
+    if isinstance(a, RowSparse) and isinstance(b, RowSparse):
+        return a + b
+    # plain + (never in place): adjoint arrays may be shared with kernel
+    # outputs and must not be mutated
+    return dense(a) + dense(b)
+
+
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray | RowSparse]:
     """Reverse accumulation from a scalar loss recorded on the tape.
 
     Returns ``{leaf: gradient}`` for every trainable leaf the loss
-    reaches; non-trainable leaves get none.  Nodes that no trainable leaf
-    feeds are skipped, so a frozen input costs no adjoint.  Callers must
-    not mutate the returned arrays: they may be shared with kernel outputs
-    and with each other.
+    reaches; non-trainable leaves get none.  A leaf reached only through
+    ``lookup_rows`` gets a ``RowSparse`` gradient over the union of the
+    rows its lookups read; one that also feeds a dense primitive gets a
+    dense array, bitwise the same sum.  Nodes that no trainable leaf feeds
+    are skipped, so a frozen input costs no adjoint.  Callers must not
+    mutate the returned arrays: they may be shared with kernel outputs and
+    with each other.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -471,9 +535,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
             if grad is None or not (tensor.trainable or tensor in fed):
                 continue
             if tensor in adjoints:
-                # plain + (never in place): adjoint arrays may be shared
-                # with kernel outputs and must not be mutated
-                adjoints[tensor] = adjoints[tensor] + grad
+                adjoints[tensor] = _add_adjoints(adjoints[tensor], grad)
+            elif isinstance(grad, RowSparse):
+                adjoints[tensor] = grad
             else:
                 adjoints[tensor] = np.asarray(grad, dtype=np.float64)
     return {t: g for t, g in adjoints.items() if t.trainable and t not in fed}  # leaves only
@@ -498,7 +562,7 @@ def grad_check(fn: Callable[[], Tensor], params: Sequence[Tensor], step: float =
     for p in params:
         if not p.trainable:
             raise ContractError(f"grad_check parameter {p!r} must be trainable")
-    analytic = [grads.get(p, np.zeros_like(p.values)) for p in params]
+    analytic = [dense(grads[p]) if p in grads else np.zeros_like(p.values) for p in params]
 
     def evaluate() -> float:
         value = float(fn().values)

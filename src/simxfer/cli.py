@@ -403,7 +403,9 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
     initial_matrix = emb.embedding.matrix.values
 
     def model_factory() -> SimilarityModel:
-        matrix = Tensor(initial_matrix.copy(), name="wem.matrix")
+        # a frozen matrix is never written, so every cell can share the loaded one
+        matrix = Tensor(initial_matrix if spec.transfer.freeze_wem else initial_matrix.copy(),
+                        name="wem.matrix")
         classifier = None
         if spec.transfer.setting in ("FT", "NT"):
             classifier = init_classifier(spec.encoder.output_dim, spec.transfer.bins,

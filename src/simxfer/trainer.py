@@ -5,10 +5,15 @@ last partial batch is kept), one tape per batch, loss per setting,
 ``backward``, whose returned gradients feed the Adam step.  A batch is
 embedded and scored as a whole, through the forward path that prediction
 uses too; parameter sets the setting freezes cost only their forward
-pass.  After each epoch the dev split is scored with its metric, with no
-tape open; the best epoch's parameters are restored at the end.  Training
-stops after ``patience`` epochs without dev improvement or at
-``max_epochs``.
+pass.  An embedding matrix trained through its lookups gets row-sparse
+gradients, and Adam updates only the rows touched so far, keeping moments
+for those rows alone: bitwise dense Adam, at the cost of the rows a batch
+reads.  After each epoch the dev split is scored with its metric, with no
+tape open.  Training stops after ``patience`` epochs without dev
+improvement or at ``max_epochs``.  A new best epoch copies the trainable
+tensors (frozen ones never change), except after the last epoch that
+``max_epochs`` allows; the copy is restored at the end unless the best
+epoch is the last one run.
 
 The hyperparameter grid defaults to batch sizes {32, 64}, learning rates
 {0.1, 0.01, 0.001, 0.0001} and epoch budgets {10, 30, 50}; every cell is
@@ -26,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, cosine, mean_over_axis
+from .autodiff import RowSparse, Tape, Tensor, backward, cosine, dense, mean_over_axis
 from .data import DatasetSplit, ScoredPair
 from .errors import ContractError, NumericError
 from .metrics import correlation
@@ -70,17 +75,59 @@ class TrainingConfig:
 
 
 class AdamState:
-    """First/second moment accumulators per parameter plus a step counter."""
+    """First/second moment accumulators per parameter plus a step counter.
+
+    A parameter that has so far received only ``RowSparse`` gradients
+    keeps its moments for the rows touched so far: ``rows[p]`` (sorted),
+    with one row of ``m[p]`` and ``v[p]`` each.  Its other rows have
+    m = v = 0 and zero gradients, which dense Adam moves by exactly 0.  A
+    dense gradient makes the moments whole for good (``rows[p]`` is None).
+    """
 
     def __init__(self, params: list[Tensor]):
-        self.m = {p: np.zeros_like(p.values) for p in params}
-        self.v = {p: np.zeros_like(p.values) for p in params}
+        self.m = {p: np.zeros((0,) + p.shape[1:]) for p in params}
+        self.v = {p: np.zeros((0,) + p.shape[1:]) for p in params}
+        self.rows: dict[Tensor, np.ndarray | None] = {p: np.zeros(0, np.intp) for p in params}
         self.t = 0
 
+    def touch(self, p: Tensor, rows: np.ndarray) -> np.ndarray:
+        """Widen p's moments to the union of its touched rows and ``rows``; return that union."""
+        old = self.rows[p]
+        union = np.union1d(old, rows)
+        if len(union) > len(old):
+            for moments in (self.m, self.v):
+                moments[p] = RowSparse(old, moments[p], p.shape).on_rows(union)
+            self.rows[p] = union
+        return union
 
-def adam_step(grads: dict[Tensor, np.ndarray], state: AdamState, lr: float) -> None:
+    def make_whole(self, p: Tensor) -> None:
+        """Turn p's moments into full-size arrays."""
+        rows = self.rows[p]
+        if rows is None:
+            return
+        for moments in (self.m, self.v):
+            moments[p] = (RowSparse(rows, moments[p], p.shape).dense() if len(rows)
+                          else np.zeros_like(p.values))
+        self.rows[p] = None
+
+
+def _adam_delta(m: np.ndarray, v: np.ndarray, g: np.ndarray, lr: float,
+                bias1: float, bias2: float) -> np.ndarray:
+    """Advance the moments in place by one Adam step; return the update to subtract."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    return lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+def adam_step(grads: dict[Tensor, np.ndarray | RowSparse], state: AdamState, lr: float) -> None:
     """Standard Adam update with bias correction from the ``grads`` that
-    ``backward`` returns.  Only trainable tensors move, in the state's order."""
+    ``backward`` returns.  Only trainable tensors move, in the state's order.
+
+    A ``RowSparse`` gradient updates only the rows touched so far; the
+    result is bitwise that of dense Adam on the scattered gradient.
+    """
     if not 0 < lr < math.inf:
         raise ContractError("learning rate must be positive and finite")
     state.t += 1
@@ -90,15 +137,16 @@ def adam_step(grads: dict[Tensor, np.ndarray], state: AdamState, lr: float) -> N
         g = grads.get(p)
         if not p.trainable or g is None:
             continue
-        if not np.all(np.isfinite(g)):
+        sparse = isinstance(g, RowSparse)
+        if not np.all(np.isfinite(g.values if sparse else g)):
             raise NumericError(f"non-finite gradient for {p.name or p!r}")
-        m = state.m[p]
-        v = state.v[p]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.values -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        if sparse and state.rows[p] is not None:
+            rows = state.touch(p, g.rows)
+            p.values[rows] -= _adam_delta(state.m[p], state.v[p], g.on_rows(rows),
+                                          lr, bias1, bias2)
+        else:
+            state.make_whole(p)
+            p.values -= _adam_delta(state.m[p], state.v[p], dense(g), lr, bias1, bias2)
 
 
 @dataclass
@@ -161,7 +209,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     history = TrainingHistory()
     best_checkpoint = None
     epochs_since_best = 0
-    for _ in range(training_config.max_epochs):
+    for epoch in range(training_config.max_epochs):
         order = rng.permutation(len(train_split.pairs))
         shuffled = [train_split.pairs[i] for i in order]
         epoch_losses = []
@@ -179,14 +227,16 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
         history.dev_correlations.append(dev_corr)
         if dev_corr > history.best_dev_correlation:
             history.best_dev_correlation = dev_corr
-            history.best_epoch = len(history.dev_correlations) - 1
-            best_checkpoint = model.snapshot()
+            history.best_epoch = epoch
+            if epoch + 1 < training_config.max_epochs:  # the last epoch needs no copy
+                best_checkpoint = model.snapshot(trainable_only=True)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= training_config.patience:
                 break
-    model.restore(best_checkpoint)
+    if history.best_epoch + 1 < history.epochs_run:
+        model.restore(best_checkpoint)
     return model, history
 
 

@@ -183,12 +183,16 @@ class SimilarityModel:
                 t.trainable = name in trainable
         return trainable
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.named_tensors().items()}
+    def snapshot(self, trainable_only: bool = False) -> dict[str, np.ndarray]:
+        """Copies of the tensor values by name (of the trainable ones only, if asked)."""
+        return {name: t.values.copy() for name, t in self.named_tensors().items()
+                if t.trainable or not trainable_only}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_tensors().items():
-            t.values = snapshot[name].copy()
+        """Copy the snapshot's values into the tensors it names."""
+        tensors = self.named_tensors()
+        for name, values in snapshot.items():
+            tensors[name].values = values.copy()
 
 
 def embed_sentences(model: SimilarityModel, sentences: Sequence[str]) -> Tensor:

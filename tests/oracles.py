@@ -76,3 +76,10 @@ def bilstm_reference_embedding(direction_params, token_vectors, pooling):
     if pooling == "avg":
         return per_step.mean(axis=0)
     return per_step.max(axis=0)
+
+
+def dense_lookup_backward(node, g):
+    """The lookup adjoint as a full matrix: zeros, then ``np.add.at`` over the indices."""
+    out = np.zeros_like(node.inputs[0].values)
+    np.add.at(out, node.attrs["indices"], g)
+    return (out,)

@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import dense_lookup_backward
+
 from simxfer import autodiff as ad
 from simxfer.autodiff import Tape, Tensor, backward, cosine, forward_primitive, grad_check
 from simxfer.errors import ContractError, NumericError, ShapeError
@@ -400,3 +402,62 @@ def test_composite_loss_matches_finite_differences(rng):
         return ad.mean_over_axis(ad.elementwise_multiply(diff, diff), axis=0)
 
     assert grad_check(fn, [w, b], step=1e-5) < 1e-4
+
+
+# --- row-sparse lookup adjoints ---------------------------------------------
+
+
+def _dense_lookup_gradients(monkeypatch, build):
+    """``backward`` over ``build()`` with the lookup backward swapped for the dense oracle."""
+    with monkeypatch.context() as patch:
+        patch.setitem(ad._KERNELS, "lookup", (ad._KERNELS["lookup"][0], dense_lookup_backward))
+        with Tape() as tape:
+            loss = build()
+        return backward(tape, loss)
+
+
+def test_row_sparse_lookup_adjoint_equals_dense_oracle_bitwise(rng, monkeypatch):
+    m = Tensor(rng.normal(size=(40, 3)), trainable=True)
+    w = Tensor(rng.normal(size=(3,)))
+
+    def build():  # three lookup nodes on one matrix, rows repeated within and across them
+        a = ad.lookup_rows(m, [7, 2, 7, 7, 30])
+        b = ad.lookup_rows(m, np.array([[2, 11], [7, 2], [39, 2]]))
+        c = ad.lookup_rows(m, [11])
+        return ad.add(ad.add(_scalarize(ad.sigmoid(ad.matmul(a, w))),
+                             _scalarize(ad.tanh(b))),
+                      _scalarize(ad.matmul(ad.elementwise_multiply(c, c), w)))
+
+    with Tape() as tape:
+        loss = build()
+    sparse = backward(tape, loss)[m]
+    oracle = _dense_lookup_gradients(monkeypatch, build)[m]
+    assert isinstance(sparse, ad.RowSparse) and sparse.shape == m.shape
+    assert sparse.rows.tolist() == [2, 7, 11, 30, 39]
+    assert ad.dense(sparse).tobytes() == oracle.tobytes()
+
+
+def test_matrix_reached_by_lookup_and_a_dense_primitive_gets_the_dense_sum(rng, monkeypatch):
+    m = Tensor(rng.normal(size=(6, 3)), trainable=True)
+    w = Tensor(rng.normal(size=(3,)))
+
+    def build():
+        looked_up = _scalarize(ad.tanh(ad.lookup_rows(m, [4, 1, 4])))
+        return ad.add(_scalarize(ad.matmul(m, w)), looked_up)
+
+    with Tape() as tape:
+        loss = build()
+    got = backward(tape, loss)[m]
+    assert isinstance(got, np.ndarray) and got.shape == m.shape
+    assert got.tobytes() == _dense_lookup_gradients(monkeypatch, build)[m].tobytes()
+    assert grad_check(build, [m]) < 1e-6
+
+
+def test_lookup_of_a_gathered_intermediate_keeps_a_dense_adjoint(rng):
+    m = Tensor(rng.normal(size=(5, 2)), trainable=True)
+    with Tape() as tape:
+        inner = ad.lookup_rows(m, [3, 0, 3])
+        loss = _scalarize(ad.lookup_rows(inner, [2, 2, 1]))
+    kinds = [type(g) for g in ad._KERNELS["lookup"][1](tape.nodes[1], np.ones((3, 2)))]
+    assert kinds == [np.ndarray]
+    assert isinstance(backward(tape, loss)[m], ad.RowSparse)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import FIXTURES_DIR, REPO_ROOT
 
+from simxfer import cli
 from simxfer.cli import (
     ExperimentReport,
     build_spec,
@@ -13,6 +14,7 @@ from simxfer.cli import (
     parse_spec_file,
     write_report,
 )
+from simxfer.embeddings import load_embeddings
 from simxfer.errors import DataError, SpecError
 
 def minimal_spec_text(**overrides):
@@ -273,6 +275,39 @@ def test_grid_reports_are_byte_identical(tmp_path):
     assert main(["grid", "--spec", str(spec), "--out", str(out_a)]) == 0
     assert main(["grid", "--spec", str(spec), "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("setting,frozen", [
+    ({"transfer.setting": "FT", "transfer.loss": "KL", "transfer.bins": "5"}, True),
+    ({"transfer.setting": "DNT", "transfer.freeze_wem": "false"}, False),
+], ids=["FT", "DNT+wem"])
+def test_grid_cells_share_a_frozen_matrix_and_copy_a_trained_one(tmp_path, monkeypatch,
+                                                                 setting, frozen):
+    models = []
+    real_grid_search = cli.grid_search
+
+    def spy(model_factory, *args):
+        def factory():
+            models.append(model_factory())
+            return models[-1]
+        return real_grid_search(factory, *args)
+
+    monkeypatch.setattr(cli, "grid_search", spy)
+    spec = write_spec(tmp_path, **setting, **{
+        "train.batch_sizes": "32",
+        "train.learning_rates": "0.01,0.1",
+        "train.epoch_budgets": "2,3",
+    })
+    assert main(["grid", "--spec", str(spec), "--out", str(tmp_path / "grid.tsv")]) == 0
+    loaded = load_embeddings(FIXTURES_DIR / "wordvecs_50d.txt", 50).embedding.matrix.values
+    arrays = [m.embedding.matrix.values for m in models]
+    assert len(arrays) == 4
+    if frozen:
+        assert all(a is arrays[0] for a in arrays)
+        assert arrays[0].tobytes() == loaded.tobytes()
+    else:
+        assert len({id(a) for a in arrays}) == 4
+        assert all(a.tobytes() != loaded.tobytes() for a in arrays)
 
 
 def test_hyperparameter_selection_ignores_test_file(tmp_path):

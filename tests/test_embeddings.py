@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simxfer.autodiff import Tape, backward, matmul
+from simxfer.autodiff import Tape, backward, dense, matmul
 from simxfer.embeddings import UNK_INDEX, load_embeddings, lookup, tokenize
 from simxfer.errors import DataError
 
@@ -135,10 +135,11 @@ def test_gradients_reach_trainable_matrix(tmp_path):
         rows = lookup(result.embedding, result.vocabulary, ["cat", "cat"])
         flat = matmul(rows, np.ones(2))
         loss = matmul(flat, flat)
-    grad = backward(tape, loss)[matrix]
+    grad = backward(tape, loss)[matrix]  # row-sparse: only the looked-up row
     cat_row = result.vocabulary.lookup("cat")
-    assert np.any(grad[cat_row] != 0)
-    assert np.all(grad[UNK_INDEX] == 0)
+    assert grad.rows.tolist() == [cat_row]
+    assert np.any(grad.values[0] != 0)
+    assert np.all(dense(grad)[UNK_INDEX] == 0)
 
 
 def test_frozen_matrix_receives_no_gradient(tmp_path):

@@ -1,10 +1,12 @@
 """Tests for Adam, the training loop, early stopping, and grid search."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from oracles import dense_lookup_backward
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
 from simxfer import autodiff as ad
@@ -22,7 +24,7 @@ from simxfer.trainer import (
     grid_search,
     train,
 )
-from simxfer.transfer import TransferConfig
+from simxfer.transfer import SimilarityModel, TransferConfig
 
 DNT = TransferConfig("DNT", norm_range=(0.0, 1.0), freeze_wem=False)
 DNT_LOCKED = TransferConfig("DNT", norm_range=(0.0, 1.0), freeze_wem=True)
@@ -79,6 +81,48 @@ def test_adam_error_names_first_non_finite_tensor_in_state_order():
     state = AdamState([a, b])
     with pytest.raises(NumericError, match="wem.matrix"):
         adam_step({b: np.array([np.inf]), a: np.array([np.nan])}, state, lr=0.1)
+
+
+def _row_sparse(rng, rows, shape):
+    rows = np.array(sorted(rows), dtype=np.intp)
+    return ad.RowSparse(rows, rng.normal(size=(len(rows),) + shape[1:]), shape)
+
+
+def test_touched_row_adam_matches_dense_adam_bitwise(rng):
+    shape = (12, 3)
+    start = rng.normal(size=shape)
+    sparse_p = Tensor(start.copy(), trainable=True, name="sparse")
+    dense_p = Tensor(start.copy(), trainable=True, name="dense")
+    sparse_state, dense_state = AdamState([sparse_p]), AdamState([dense_p])
+    # row 0 is touched once and never again; rows 10 and 11 never
+    steps = [{0, 3, 5}, {3}, {5, 7}, {1, 3, 9}, {2, 7}, {9}, {4, 5, 6}]
+    touched: set[int] = set()
+    for rows in steps:
+        g = _row_sparse(rng, rows, shape)
+        adam_step({sparse_p: g}, sparse_state, lr=0.05)
+        adam_step({dense_p: ad.dense(g)}, dense_state, lr=0.05)
+        touched |= rows
+        assert sparse_p.values.tobytes() == dense_p.values.tobytes()
+        assert sparse_state.rows[sparse_p].tolist() == sorted(touched)
+        assert sparse_state.m[sparse_p].shape == (len(touched), 3)
+    assert np.array_equal(sparse_p.values[10:], start[10:])
+    # a dense gradient makes the moments whole and keeps the results equal
+    g = rng.normal(size=shape)
+    adam_step({sparse_p: g}, sparse_state, lr=0.05)
+    adam_step({dense_p: g}, dense_state, lr=0.05)
+    g = _row_sparse(rng, {0, 11}, shape)
+    adam_step({sparse_p: g}, sparse_state, lr=0.05)
+    adam_step({dense_p: ad.dense(g)}, dense_state, lr=0.05)
+    assert sparse_state.rows[sparse_p] is None
+    assert sparse_p.values.tobytes() == dense_p.values.tobytes()
+
+
+def test_adam_rejects_non_finite_row_sparse_gradient(rng):
+    p = Tensor(np.zeros((4, 2)), trainable=True, name="wem.matrix")
+    g = ad.RowSparse(np.array([1, 3]), np.array([[0.5, 1.0], [np.inf, 0.0]]), p.shape)
+    with pytest.raises(NumericError, match="wem.matrix"):
+        adam_step({p: g}, AdamState([p]), lr=0.1)
+    assert not p.values.any()
 
 
 # --- training loop ----------------------------------------------------------
@@ -147,6 +191,90 @@ def test_freeze_conservation_smoke():
         assert np.array_equal(before[name], after[name])
     assert any(not np.array_equal(before[n], after[n])
                for n in model.classifier.named_tensors())
+
+
+def _history_fields(history):
+    return (history.train_losses, history.dev_correlations, history.best_epoch,
+            history.best_dev_correlation)
+
+
+@pytest.mark.parametrize("restores", [True, False], ids=["restored", "last-epoch-best"])
+def test_train_with_row_sparse_lookup_matches_the_dense_oracle(restores, monkeypatch):
+    """DNT+wem trains the embedding matrix through row-sparse lookup
+    gradients; swapping in the dense lookup backward changes no bit."""
+    train_pairs = overlap_pairs(30, seed=22)
+    # an anti-correlated dev split peaks early, so training stops and restores
+    dev_pairs = [type(p)(p.sentence_a, p.sentence_b, 5.0 - p.score if restores else p.score,
+                         p.score_range) for p in train_pairs]
+    cfg = TrainingConfig(batch_size=8, learning_rate=0.01, max_epochs=6, patience=2, seed=3)
+
+    def run():
+        model = make_model(kind="bilstm-avg", hidden=3, dim=4, n_tokens=24, seed=21)
+        model, history = train(model, DNT, as_split("train", train_pairs),
+                               as_split("dev", dev_pairs), cfg)
+        return model.snapshot(), _history_fields(history)
+
+    sparse_tensors, sparse_history = run()
+    with monkeypatch.context() as patch:
+        patch.setitem(ad._KERNELS, "lookup", (ad._KERNELS["lookup"][0], dense_lookup_backward))
+        dense_tensors, dense_history = run()
+    assert sparse_history == dense_history
+    assert {n: v.tobytes() for n, v in sparse_tensors.items()} == \
+        {n: v.tobytes() for n, v in dense_tensors.items()}
+    assert (sparse_history[2] + 1 < len(sparse_history[0])) == restores
+
+
+@pytest.mark.parametrize("max_epochs,patience,anti", [(1, 5, True), (4, 5, False), (12, 2, True)])
+def test_train_snapshots_trainable_tensors_only_when_a_later_epoch_may_need_them(
+        max_epochs, patience, anti, monkeypatch):
+    taken, restored = [], []
+    real_snapshot, real_restore = SimilarityModel.snapshot, SimilarityModel.restore
+
+    def snapshot(self, trainable_only=False):
+        taken.append(real_snapshot(self, trainable_only))
+        return taken[-1]
+
+    def restore(self, snap):
+        restored.append(snap)
+        real_restore(self, snap)
+
+    monkeypatch.setattr(SimilarityModel, "snapshot", snapshot)
+    monkeypatch.setattr(SimilarityModel, "restore", restore)
+    train_pairs = overlap_pairs(30, seed=22)
+    dev_pairs = [type(p)(p.sentence_a, p.sentence_b, 5.0 - p.score if anti else p.score,
+                         p.score_range) for p in train_pairs]
+    model = make_model(kind="word-average", dim=4, n_tokens=24, bins=5, seed=21)
+    ft = TransferConfig("FT", loss_kind="KL", bins=5)
+    cfg = TrainingConfig(batch_size=8, learning_rate=0.05, max_epochs=max_epochs,
+                         patience=patience, seed=3)
+    model, history = train(model, ft, as_split("train", train_pairs),
+                           as_split("dev", dev_pairs), cfg)
+    corrs = history.dev_correlations
+    improved = [e for e in range(len(corrs)) if corrs[e] > max(corrs[:e], default=-np.inf)]
+    # a frozen matrix and encoder are never copied, nor is the model after the last epoch
+    assert len(taken) == len([e for e in improved if e + 1 < max_epochs])
+    assert all(sorted(snap) == sorted(model.classifier.named_tensors()) for snap in taken)
+    assert len(restored) == (history.best_epoch + 1 < history.epochs_run)
+    if restored:
+        assert restored[0] is taken[-1]
+        assert evaluate_split(model, ft, dev_pairs, "pearson") == history.best_dev_correlation
+
+
+def test_training_a_large_embedding_matrix_allocates_less_than_the_matrix():
+    """One DNT+wem epoch over a 50,000 x 20 matrix costs the rows it touches:
+    no dense gradient, Adam moment or snapshot of the whole matrix."""
+    model = make_model(kind="word-average", dim=20, n_tokens=49_999, seed=91)
+    pairs = random_pairs(48, n_tokens=49_999, seed=92)
+    cfg = TrainingConfig(batch_size=8, learning_rate=0.01, max_epochs=1, patience=5, seed=9)
+    matrix_bytes = model.embedding.matrix.values.nbytes
+    assert model.embedding.matrix.shape == (50_000, 20)
+    tracemalloc.start()
+    try:
+        train(model, DNT, as_split("train", pairs[:40]), as_split("dev", pairs[40:]), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes
 
 
 def test_train_rejects_ue():
