@@ -115,23 +115,20 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingLoadResult:
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, peel leading/trailing ASCII punctuation.
 
-    Internal punctuation (as in "don't") is preserved.  Whitespace-only
-    input yields an empty list.
+    Each peeled character is a token of its own; internal punctuation (as
+    in "don't") is preserved.  Whitespace-only input yields an empty list.
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
-        leading: list[str] = []
-        trailing: list[str] = []
-        while chunk and chunk[0] in _PUNCT:
-            leading.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in _PUNCT:
-            trailing.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(leading)
-        if chunk:
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:  # the common case
             tokens.append(chunk)
-        tokens.extend(reversed(trailing))
+            continue
+        rest = chunk.lstrip(string.punctuation)
+        core = rest.rstrip(string.punctuation)
+        tokens.extend(chunk[: len(chunk) - len(rest)])
+        if core:
+            tokens.append(core)
+        tokens.extend(rest[len(core) :])
     return tokens
 
 
@@ -143,5 +140,5 @@ def lookup(embedding: EmbeddingMatrix, vocabulary: Vocabulary, tokens: list[str]
     """
     if not tokens:
         raise DataError("empty sentence: no tokens to look up")
-    indices = [vocabulary.lookup(t) for t in tokens]
+    indices = [vocabulary.index.get(t, UNK_INDEX) for t in tokens]
     return lookup_rows(embedding.matrix, indices)

@@ -1,19 +1,22 @@
 """Adam optimization, batching, early stopping, and grid search.
 
-One training run: per epoch, seeded shuffle, fixed-size batches (the
-last partial batch is kept), one tape per batch, loss per setting,
-``backward``, whose returned gradients feed the Adam step.  A batch is
-embedded and scored as a whole, through the forward path that prediction
-uses too; parameter sets the setting freezes cost only their forward
-pass.  An embedding matrix trained through its lookups gets row-sparse
-gradients, and Adam updates only the rows touched so far, keeping moments
-for those rows alone: bitwise dense Adam, at the cost of the rows a batch
-reads.  After each epoch the dev split is scored with its metric, with no
-tape open.  Training stops after ``patience`` epochs without dev
-improvement or at ``max_epochs``.  A new best epoch copies the trainable
-tensors (frozen ones never change), except after the last epoch that
-``max_epochs`` allows; the copy is restored at the end unless the best
-epoch is the last one run.
+One training run prepares its splits once: it indexes each distinct
+train and dev sentence and makes each train pair's target, and under FT,
+whose embeddings are fixed features, it embeds each distinct sentence
+into a table whose rows batches and dev scoring gather.  Then per epoch:
+seeded shuffle, fixed-size batches (the last partial batch is kept), one
+tape per batch, loss per setting, ``backward``, whose returned gradients
+feed the Adam step.  A batch is embedded and scored as a whole, through
+the forward path that prediction uses too; parameter sets the setting
+freezes cost only their forward pass.  An embedding matrix trained
+through its lookups gets row-sparse gradients, and Adam updates only the
+rows touched so far, keeping moments for those rows alone: bitwise dense
+Adam, at the cost of the rows a batch reads.  After each epoch the dev
+split is scored with its metric, with no tape open.  Training stops
+after ``patience`` epochs without dev improvement or at ``max_epochs``.
+A new best epoch copies the trainable tensors (frozen ones never
+change), except after the last epoch that ``max_epochs`` allows; the
+copy is restored at the end unless the best epoch is the last one run.
 
 The hyperparameter grid defaults to batch sizes {32, 64}, learning rates
 {0.1, 0.01, 0.001, 0.0001} and epoch budgets {10, 30, 50}; every cell is
@@ -41,11 +44,12 @@ from .transfer import (
     classifier_forward,
     dnt_loss,
     embed_pairs,
+    embed_sentences,
     ft_loss,
-    normalize_score,
+    index_sentences,
+    pair_targets,
     predict_pairs,
-    rescale_to_bins,
-    sparse_target_distribution,
+    trainable_parameter_sets,
 )
 
 DEFAULT_BATCH_SIZES = (32, 64)
@@ -161,29 +165,45 @@ class TrainingHistory:
         return len(self.train_losses)
 
 
-def batch_loss(model: SimilarityModel, config: TransferConfig,
-               pairs: list[ScoredPair]) -> Tensor:
-    """Batch training loss (mean over the m pairs), recorded on the open tape."""
+def batch_loss(model: SimilarityModel, config: TransferConfig, pairs: list[ScoredPair],
+               targets: np.ndarray | None = None, embed: Callable = embed_pairs) -> Tensor:
+    """Batch training loss (mean over the m pairs), recorded on the open tape;
+    ``targets`` and ``embed`` default to ``pair_targets`` and ``embed_pairs``."""
     if config.setting == "UE":
         raise ContractError("UE has no training loss")
-    h_left, h_right = embed_pairs(model, pairs)
+    targets = pair_targets(config, pairs) if targets is None else targets
+    h_left, h_right = embed(model, pairs)
     if config.setting == "DNT":
-        targets = [normalize_score(pair.score, pair.score_range, config.norm_range)
-                   for pair in pairs]
         return dnt_loss(cosine(h_left, h_right), targets, norm_range=config.norm_range)
     p_hat, _ = classifier_forward(h_left, h_right, model.classifier)
-    targets = np.array([
-        sparse_target_distribution(rescale_to_bins(pair.score, pair.score_range, config.bins),
-                                   config.bins)
-        for pair in pairs])
     return mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
 
 
-def evaluate_split(model: SimilarityModel, config: TransferConfig,
-                   pairs: list[ScoredPair], metric: str) -> float:
+def evaluate_split(model: SimilarityModel, config: TransferConfig, pairs: list[ScoredPair],
+                   metric: str, embed: Callable = embed_pairs) -> float:
     """Correlation of raw predictions against raw annotated scores."""
-    predictions = predict_pairs(config, model, pairs)
+    predictions = predict_pairs(config, model, pairs, embed)
     return correlation(metric, predictions, [pair.score for pair in pairs]).coefficient
+
+
+class PreparedSplits:
+    """What ``train`` reads of its splits, made once per call (see the module docstring)."""
+
+    def __init__(self, model: SimilarityModel, config: TransferConfig,
+                 train_pairs: list[ScoredPair], dev_pairs: list[ScoredPair]):
+        self.ids = index_sentences(model.vocabulary, (
+            text for p in (*train_pairs, *dev_pairs) for text in (p.sentence_a, p.sentence_b)))
+        self.targets = pair_targets(config, train_pairs)
+        frozen = not trainable_parameter_sets(config) & {"wem", "enc"}  # FT: fixed features
+        self.features = embed_sentences(model, list(self.ids), self.ids).values if frozen else None
+        self.rows = {text: i for i, text in enumerate(self.ids)} if frozen else None
+
+    def embed_pairs(self, model: SimilarityModel, pairs: list[ScoredPair]) -> tuple[Tensor, Tensor]:
+        """``embed_pairs`` from the prepared ids, or rows gathered from the table."""
+        if self.features is None:
+            return embed_pairs(model, pairs, self.ids)
+        return (Tensor(self.features[[self.rows[p.sentence_a] for p in pairs]]),
+                Tensor(self.features[[self.rows[p.sentence_b] for p in pairs]]))
 
 
 def train(model: SimilarityModel, transfer_config: TransferConfig,
@@ -204,6 +224,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     if not params:
         raise ContractError("freeze policy leaves nothing to train")
 
+    prepared = PreparedSplits(model, transfer_config, train_split.pairs, dev_split.pairs)
     state = AdamState(params)
     rng = np.random.default_rng(training_config.seed)
     history = TrainingHistory()
@@ -211,17 +232,18 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     epochs_since_best = 0
     for epoch in range(training_config.max_epochs):
         order = rng.permutation(len(train_split.pairs))
-        shuffled = [train_split.pairs[i] for i in order]
         epoch_losses = []
-        for start in range(0, len(shuffled), training_config.batch_size):
-            batch = shuffled[start : start + training_config.batch_size]
+        for start in range(0, len(order), training_config.batch_size):
+            batch = order[start : start + training_config.batch_size]
             with Tape() as tape:
-                loss = batch_loss(model, transfer_config, batch)
+                loss = batch_loss(model, transfer_config, [train_split.pairs[i] for i in batch],
+                                  prepared.targets[batch], prepared.embed_pairs)
             adam_step(backward(tape, loss), state, training_config.learning_rate)
             epoch_losses.append(float(loss.values))
         history.train_losses.append(float(np.mean(epoch_losses)))
         try:
-            dev_corr = evaluate_split(model, transfer_config, dev_split.pairs, dev_split.metric)
+            dev_corr = evaluate_split(model, transfer_config, dev_split.pairs, dev_split.metric,
+                                      prepared.embed_pairs)
         except NumericError:
             dev_corr = UNDEFINED_CORRELATION
         history.dev_correlations.append(dev_corr)

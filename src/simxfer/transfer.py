@@ -12,16 +12,17 @@ FT and NT regress onto a sparse distribution over integer score bins
 1..K; DNT regresses cosine onto scores normalized into [0,1] or [-1,1].
 
 Training, evaluation and prediction share one forward path:
-``embed_sentences`` embeds all sentences of a batch at once, and the
-heads and losses take one row per pair.  Training records the path on a
-tape; prediction runs it with no tape open, so it keeps no graph, one
-slice of ``SCORE_SLICE`` pairs at a time.
+``embed_sentences`` embeds all sentences of a batch at once from the
+token ids that ``index_sentences`` makes, and the heads and losses take
+one row per pair.  Training records the path on a tape and indexes its
+splits once; prediction runs it with no tape open, so it keeps no graph,
+one slice of ``SCORE_SLICE`` pairs at a time, each indexed on its own.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ from .autodiff import (
     subtract,
     transpose,
 )
-from .embeddings import EmbeddingMatrix, Vocabulary, tokenize
+from .embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, tokenize
 from .encoders import EncoderConfig, EncoderParameters, encode
 from .errors import ContractError, DataError, ShapeError
 
@@ -195,34 +196,43 @@ class SimilarityModel:
             tensors[name].values = values.copy()
 
 
-def embed_sentences(model: SimilarityModel, sentences: Sequence[str]) -> Tensor:
+def index_sentences(vocabulary: Vocabulary, sentences: Iterable[str]) -> dict[str, list[int]]:
+    """Token ids of each distinct sentence, in first-seen order, tokenized once."""
+    get = vocabulary.index.get
+    ids = {text: [get(t, UNK_INDEX) for t in tokenize(text)] for text in dict.fromkeys(sentences)}
+    if not all(ids.values()):
+        raise DataError("empty sentence: no tokens to look up")
+    return ids
+
+
+def embed_sentences(model: SimilarityModel, sentences: Sequence[str],
+                    ids: dict[str, list[int]] | None = None) -> Tensor:
     """tokenize -> lookup -> encode for a batch of sentences (recorded if a tape is open).
 
     Returns an n x e tensor whose row i embeds ``sentences[i]``.  Each
     distinct sentence is encoded once, and the sentences of one token
-    length are encoded together from one T x n x d lookup.
+    length are encoded together from one T x n x d lookup, ``ids`` (by
+    default made here by ``index_sentences``) giving their token ids.
     """
-    by_length: dict[int, dict[str, list[int]]] = {}
+    ids = ids or index_sentences(model.vocabulary, sentences)
+    by_length: dict[int, list[str]] = {}
     for text in dict.fromkeys(sentences):
-        tokens = tokenize(text)
-        if not tokens:
-            raise DataError("empty sentence: no tokens to look up")
-        by_length.setdefault(len(tokens), {})[text] = [model.vocabulary.lookup(t) for t in tokens]
-    row: dict[str, int] = {}
+        by_length.setdefault(len(ids[text]), []).append(text)
+    row = {text: i for i, text in enumerate(t for group in by_length.values() for t in group)}
     parts = []
     for group in by_length.values():
-        for text in group:
-            row[text] = len(row)
-        vectors = lookup_rows(model.embedding.matrix, np.array(list(group.values())).T)
+        vectors = lookup_rows(model.embedding.matrix, np.array([ids[t] for t in group]).T)
         parts.append(encode(model.encoder_params, model.encoder_config, vectors))
     return lookup_rows(concat(parts, axis=0), [row[text] for text in sentences])
 
 
-def embed_pairs(model: SimilarityModel, pairs: Sequence) -> tuple[Tensor, Tensor]:
+def embed_pairs(model: SimilarityModel, pairs: Sequence,
+                ids: dict[str, list[int]] | None = None) -> tuple[Tensor, Tensor]:
     """m x e embeddings of the first and of the second sentences of the
     pairs, from one ``embed_sentences`` call."""
     m = len(pairs)
-    both = embed_sentences(model, [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs])
+    both = embed_sentences(model, [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs],
+                           ids)
     return lookup_rows(both, range(m)), lookup_rows(both, range(m, 2 * m))
 
 
@@ -324,17 +334,18 @@ def dnt_loss(cosines: Tensor, targets: Sequence[float],
     return mean_over_axis(elementwise_multiply(residual, residual), axis=0)
 
 
-def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequence) -> list[float]:
+def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequence,
+                  embed: Callable = embed_pairs) -> list[float]:
     """Raw predicted scores for sentence pairs, ``SCORE_SLICE`` pairs per pass, no tape.
 
     UE and DNT predict embedding cosine; FT and NT predict the head's
-    expected bin score.
+    expected bin score.  ``embed`` embeds a slice as ``embed_pairs`` does.
     """
     if config.setting in ("FT", "NT") and model.classifier is None:
         raise ContractError(f"{config.setting} prediction requires a classifier head")
     scores: list[float] = []
     for start in range(0, len(pairs), SCORE_SLICE):
-        h_left, h_right = embed_pairs(model, pairs[start : start + SCORE_SLICE])
+        h_left, h_right = embed(model, pairs[start : start + SCORE_SLICE])
         if config.setting in ("UE", "DNT"):
             out = cosine(h_left, h_right)
         else:
@@ -352,3 +363,13 @@ def rescale_to_bins(score: float, score_range: tuple[float, float], bins: int,
                     context: str = "") -> float:
     """Affine map of an annotated score into the classifier's [1, K] range."""
     return normalize_score(score, score_range, (1.0, float(bins)), context=context)
+
+
+def pair_targets(config: TransferConfig, pairs: Sequence) -> np.ndarray:
+    """Regression targets: normalized scores (DNT), sparse bin distributions (FT, NT)."""
+    if config.setting == "DNT":
+        return np.array([normalize_score(p.score, p.score_range, config.norm_range)
+                         for p in pairs])
+    bins = config.bins
+    return np.array([sparse_target_distribution(rescale_to_bins(p.score, p.score_range, bins), bins)
+                     for p in pairs])

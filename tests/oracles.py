@@ -3,12 +3,29 @@
 These are deliberately written without the package's tape machinery or
 vectorized shortcuts, so they can serve as oracles for the production
 paths: naive two-pass Pearson, O(n^2) counting ranks for Spearman, and a
-step-by-step LSTM recurrence over plain numpy arrays.
+step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
+earlier form of a production path instead: the dense lookup adjoint,
+the character-by-character tokenizer, and an FT training loop that
+embeds every batch and every dev evaluation anew with ``embed_pairs``.
 """
 
 import math
+import string
 
 import numpy as np
+
+from simxfer.autodiff import Tape, backward, mean_over_axis
+from simxfer.errors import NumericError
+from simxfer.metrics import correlation
+from simxfer.trainer import UNDEFINED_CORRELATION, AdamState, TrainingHistory, adam_step
+from simxfer.transfer import (
+    SCORE_SLICE,
+    classifier_forward,
+    embed_pairs,
+    ft_loss,
+    rescale_to_bins,
+    sparse_target_distribution,
+)
 
 
 def brute_force_pearson(x, y):
@@ -83,3 +100,76 @@ def dense_lookup_backward(node, g):
     out = np.zeros_like(node.inputs[0].values)
     np.add.at(out, node.attrs["indices"], g)
     return (out,)
+
+
+_PUNCT = set(string.punctuation)
+
+
+def reference_tokenize(text):
+    """Lowercase, split on whitespace, then peel leading and trailing ASCII
+    punctuation one character at a time, each character a token."""
+    tokens = []
+    for chunk in text.lower().split():
+        leading = []
+        trailing = []
+        while chunk and chunk[0] in _PUNCT:
+            leading.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and chunk[-1] in _PUNCT:
+            trailing.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(leading)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trailing))
+    return tokens
+
+
+def reference_ft_train(model, config, train_pairs, dev_pairs, metric, training_config):
+    """FT training that embeds each batch and each dev slice with ``embed_pairs``.
+
+    Same shuffle, batches, Adam steps, early stopping and best-epoch
+    restore as ``trainer.train``; returns ``(model, TrainingHistory)``.
+    """
+    model.apply_freeze_policy(config)
+    params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
+    state = AdamState(params)
+    rng = np.random.default_rng(training_config.seed)
+    history = TrainingHistory()
+    best_values = None
+    since_best = 0
+    for epoch in range(training_config.max_epochs):
+        order = rng.permutation(len(train_pairs))
+        losses = []
+        for start in range(0, len(order), training_config.batch_size):
+            batch = [train_pairs[i] for i in order[start : start + training_config.batch_size]]
+            targets = np.array([
+                sparse_target_distribution(rescale_to_bins(p.score, p.score_range, config.bins),
+                                           config.bins) for p in batch])
+            with Tape() as tape:
+                p_hat, _ = classifier_forward(*embed_pairs(model, batch), model.classifier)
+                loss = mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
+            adam_step(backward(tape, loss), state, training_config.learning_rate)
+            losses.append(float(loss.values))
+        history.train_losses.append(float(np.mean(losses)))
+        predictions = []
+        for start in range(0, len(dev_pairs), SCORE_SLICE):
+            h_left, h_right = embed_pairs(model, dev_pairs[start : start + SCORE_SLICE])
+            predictions.extend(classifier_forward(h_left, h_right, model.classifier)[1].values)
+        try:
+            dev_corr = correlation(metric, [float(y) for y in predictions],
+                                   [p.score for p in dev_pairs]).coefficient
+        except NumericError:
+            dev_corr = UNDEFINED_CORRELATION
+        history.dev_correlations.append(dev_corr)
+        if dev_corr > history.best_dev_correlation:
+            history.best_dev_correlation, history.best_epoch = dev_corr, epoch
+            best_values = {t: t.values.copy() for t in params}
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= training_config.patience:
+                break
+    for t, values in best_values.items():
+        t.values = values
+    return model, history

@@ -1,7 +1,12 @@
 """Tests for vocabulary, embedding loading, tokenization, and lookup."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_tokenize
 
 from simxfer.autodiff import Tape, backward, dense, matmul
 from simxfer.embeddings import UNK_INDEX, load_embeddings, lookup, tokenize
@@ -91,6 +96,16 @@ def test_missing_file_is_fatal(tmp_path):
 )
 def test_tokenize(text, expected):
     assert tokenize(text) == expected
+
+
+TOKENIZER_ALPHABET = (string.ascii_letters + string.digits + string.punctuation + " \t\n"
+                      + "\u3000\x1c\x85" + "\u0130\u00df")  # Unicode spaces; İ and ß change length
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet=TOKENIZER_ALPHABET, max_size=40) | st.text(max_size=20))
+def test_tokenize_equals_the_character_by_character_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_tokenize_never_empty_for_word_input():

@@ -1,4 +1,4 @@
-"""The four fixture specs reproduce their checked-in reports.
+"""The fixture specs reproduce their checked-in reports.
 
 ``tests/golden/<spec>.tsv`` is the report that ``simxfer <mode> --spec
 fixtures/specs/<spec>.spec`` writes.  Every field must match exactly,
@@ -16,7 +16,7 @@ from simxfer.cli import ENV_DATA_DIR, main
 
 GOLDEN_DIR = TESTS_DIR / "golden"
 SPECS = {"ue_wordavg": "eval", "dnt_bilstm_run": "run", "ft_wordavg_run": "run",
-         "dnt_wordavg_grid": "grid"}
+         "dnt_wordavg_grid": "grid", "ft_bilstm_run": "run"}
 TOLERANCE = 1e-12
 CORRELATION_FIELDS = {"test_correlation": 1, "dev_correlation": 1, "cell": 4}
 

@@ -1,16 +1,17 @@
 """Tests for Adam, the training loop, early stopping, and grid search."""
 
+import collections
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from oracles import dense_lookup_backward
+from oracles import dense_lookup_backward, reference_ft_train
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
 from simxfer import autodiff as ad
-from simxfer import trainer
+from simxfer import trainer, transfer
 from simxfer.autodiff import Tape, Tensor, backward, matmul, subtract
 from simxfer.errors import ContractError, NumericError
 from simxfer.trainer import (
@@ -459,3 +460,57 @@ def test_grid_search_keeps_all_results_and_matches_sequential():
     assert len(first.cells) == 2
     assert [c.dev_correlation for c in first.cells] == [c.dev_correlation for c in second.cells]
     assert first.best_config == second.best_config
+
+
+# --- splits prepared once per train call ------------------------------------------
+
+
+def _head_bytes(model):
+    return {name: t.values.tobytes() for name, t in model.classifier.named_tensors().items()}
+
+
+@pytest.mark.parametrize("loss_kind", ["KL", "MSE"])
+def test_ft_train_equals_a_loop_that_embeds_every_batch(loss_kind):
+    """FT gathers its batches and dev scores from features embedded once per
+    call; the trained head and the history are bitwise those of a loop that
+    embeds every batch and dev slice with ``embed_pairs``."""
+    ft = TransferConfig("FT", loss_kind=loss_kind, bins=5)
+    train_pairs, dev_pairs = overlap_pairs(40, seed=31), overlap_pairs(15, seed=32)
+    cfg = TrainingConfig(batch_size=6, learning_rate=0.2, max_epochs=8, patience=3, seed=4)
+    got_model, got = train(make_model(kind="word-average", n_tokens=24, bins=5, seed=33), ft,
+                           as_split("train", train_pairs), as_split("dev", dev_pairs), cfg)
+    want_model, want = reference_ft_train(
+        make_model(kind="word-average", n_tokens=24, bins=5, seed=33), ft, train_pairs,
+        dev_pairs, "pearson", cfg)
+    assert got.best_epoch + 1 < got.epochs_run  # the best epoch's head is restored
+    assert got == want
+    assert _head_bytes(got_model) == _head_bytes(want_model)
+
+
+@pytest.mark.parametrize("config", [DNT, TransferConfig("FT", loss_kind="KL", bins=5)],
+                         ids=["DNT", "FT"])
+def test_train_tokenizes_each_distinct_sentence_once_per_call(config, monkeypatch):
+    """However many epochs and batches, a ``train`` call tokenizes each distinct
+    train and dev sentence once; a second call on the same vocabulary indexes
+    its splits again (nothing is cached across calls) and adds no token."""
+    calls = collections.Counter()
+    tokenize = transfer.tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return tokenize(text)
+
+    monkeypatch.setattr(transfer, "tokenize", counting)
+    train_pairs, dev_pairs = overlap_pairs(30, seed=41), overlap_pairs(10, seed=42)
+    distinct = {s for p in train_pairs + dev_pairs for s in (p.sentence_a, p.sentence_b)}
+    model = make_model(kind="word-average", n_tokens=24, bins=config.bins, seed=43)
+    index = dict(model.vocabulary.index)
+    for max_epochs, batch_size in ((3, 4), (2, 16)):
+        calls.clear()
+        cfg = TrainingConfig(batch_size=batch_size, learning_rate=0.01, max_epochs=max_epochs,
+                             patience=5, seed=1)
+        _, history = train(model, config, as_split("train", train_pairs),
+                           as_split("dev", dev_pairs), cfg)
+        assert history.epochs_run == max_epochs
+        assert calls == collections.Counter(distinct)
+    assert model.vocabulary.index == index
