@@ -3,8 +3,8 @@
 UE scores pairs with plain embedding cosine.  FT and NT regress a
 dense+softmax head onto a sparse distribution over score bins 1..K.
 DNT drops the head and trains the encoder so cosine itself matches the
-normalized score.  Each setting declares which parameter sets (wem,
-enc, cla) receive gradients.
+normalized score.  ``transfer.SETTINGS`` defines each setting by the
+parameter sets (enc, cla) it trains while wem stays frozen.
 """
 
 from pathlib import Path
@@ -16,6 +16,7 @@ from simxfer.data import load_generic_tsv
 from simxfer.embeddings import load_embeddings
 from simxfer.encoders import EncoderConfig, init_encoder
 from simxfer.transfer import (
+    SETTINGS,
     SimilarityModel,
     TransferConfig,
     dnt_loss,
@@ -40,19 +41,13 @@ print("  sums to", p.sum(), "and reconstructs", float(np.arange(1, 6) @ p))
 
 # --- the freeze-policy matrix --------------------------------------------------
 
-settings = [
-    TransferConfig("UE"),
-    TransferConfig("FT", loss_kind="MSE", bins=5),
-    TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=True),
-    TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=False),
-    TransferConfig("DNT", norm_range=(0, 1), freeze_wem=True),
-    TransferConfig("DNT", norm_range=(0, 1), freeze_wem=False),
-]
-print("\ntrainable parameter sets per setting:")
-for config in settings:
-    label = config.setting + ("" if config.freeze_wem else " (wem updated)")
-    sets = sorted(trainable_parameter_sets(config)) or ["none"]
-    print(f"  {label:<20} -> {', '.join(sets)}")
+print("\nfreeze-policy matrix, transfer.SETTINGS (x trains; w trains once wem is unfrozen):")
+print("  setting  wem  enc  cla")
+for setting, row in SETTINGS.items():
+    cells = ["w" if "enc" in row else "-"] + ["x" if name in row else "-" for name in ("enc", "cla")]
+    print(f"  {setting:<7}" + "".join(f"{cell:>5}" for cell in cells))
+nt_wem = TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=False)
+print("NT with wem unfrozen trains", ", ".join(sorted(trainable_parameter_sets(nt_wem))))
 
 # --- heads and losses -----------------------------------------------------------
 

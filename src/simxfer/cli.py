@@ -44,9 +44,11 @@ from .trainer import (
 from .transfer import (
     DEFAULT_BINS,
     DEFAULT_HIDDEN_WIDTH,
+    SETTINGS,
     SimilarityModel,
     TransferConfig,
     init_classifier,
+    trainable_parameter_sets,
 )
 
 REPORT_HEADER = "simxfer-report 1"
@@ -131,7 +133,7 @@ class ExperimentSpec:
         label = cfg.setting
         if cfg.loss_kind:
             label += f"-{cfg.loss_kind}"
-        if cfg.setting in ("NT", "DNT") and not cfg.freeze_wem:
+        if not cfg.freeze_wem:
             label += "+wem"
         return label
 
@@ -166,24 +168,21 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             raise SpecError(f"{path}: unknown metric {metric!r}")
 
         seed = seed_override if seed_override is not None else int(entries.get("seed", "0"))
+        # defaults fill only the fields the setting uses; TransferConfig refuses others
         setting = need("transfer.setting").upper()
-        loss = entries.get("transfer.loss")
+        row = SETTINGS.get(setting, frozenset())
+        loss = entries.get("transfer.loss") or ("MSE" if "cla" in row else None)
+        bins = entries.get("transfer.bins", DEFAULT_BINS if "cla" in row else None)
         norm_range = None
-        bins = None
-        if setting == "DNT":
+        if (row and "cla" not in row) or {"transfer.norm_lo", "transfer.norm_hi"} & entries.keys():
             norm_range = (float(entries.get("transfer.norm_lo", "0")),
                           float(entries.get("transfer.norm_hi", "1")))
-        if setting in ("FT", "NT"):
-            loss = (loss or "MSE").upper()
-            bins = int(entries.get("transfer.bins", str(DEFAULT_BINS)))
-        else:
-            loss = None
         transfer = TransferConfig(
             setting=setting,
-            loss_kind=loss,
+            loss_kind=loss and loss.upper(),
             freeze_wem=_bool(entries.get("transfer.freeze_wem", "true")),
             norm_range=norm_range,
-            bins=bins,
+            bins=None if bins is None else int(bins),
         )
 
         embeddings_dim = int(need("embeddings.dim"))
@@ -380,10 +379,10 @@ def _require_two_pairs(path, pairs: list, what: str) -> None:
 def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
     """Load data and embeddings, build the model, train per mode, score test."""
     started = time.perf_counter()
-    if mode == "eval" and spec.transfer.setting != "UE":
-        raise SpecError(f"eval runs UE only; spec requests {spec.transfer.setting}")
-    if mode != "eval" and spec.transfer.setting == "UE":
-        raise SpecError("UE has no training; use the eval subcommand")
+    if mode == "eval" and trainable_parameter_sets(spec.transfer):
+        raise SpecError(f"{spec.transfer.setting} trains; eval runs untrained settings only")
+    if mode != "eval" and not trainable_parameter_sets(spec.transfer):
+        raise SpecError(f"{spec.transfer.setting} has no training; use the eval subcommand")
 
     emb = load_embeddings(spec.embeddings_path, spec.embeddings_dim)
     warnings = emb.skipped_lines
@@ -407,7 +406,7 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
         matrix = Tensor(initial_matrix if spec.transfer.freeze_wem else initial_matrix.copy(),
                         name="wem.matrix")
         classifier = None
-        if spec.transfer.setting in ("FT", "NT"):
+        if spec.transfer.has_head:
             classifier = init_classifier(spec.encoder.output_dim, spec.transfer.bins,
                                          spec.classifier_hidden, seed=spec.classifier_seed)
         model = SimilarityModel(

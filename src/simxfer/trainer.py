@@ -169,11 +169,9 @@ def batch_loss(model: SimilarityModel, config: TransferConfig, pairs: list[Score
                targets: np.ndarray | None = None, embed: Callable = embed_pairs) -> Tensor:
     """Batch training loss (mean over the m pairs), recorded on the open tape;
     ``targets`` and ``embed`` default to ``pair_targets`` and ``embed_pairs``."""
-    if config.setting == "UE":
-        raise ContractError("UE has no training loss")
     targets = pair_targets(config, pairs) if targets is None else targets
     h_left, h_right = embed(model, pairs)
-    if config.setting == "DNT":
+    if not config.has_head:
         return dnt_loss(cosine(h_left, h_right), targets, norm_range=config.norm_range)
     p_hat, _ = classifier_forward(h_left, h_right, model.classifier)
     return mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
@@ -215,9 +213,7 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     predictions) counts as -1 for the early-stopping comparison and the
     run continues, so the first epoch is always a best epoch.
     """
-    if transfer_config.setting == "UE":
-        raise ContractError("UE performs no training")
-    if transfer_config.setting in ("FT", "NT") and model.classifier is None:
+    if transfer_config.has_head and model.classifier is None:
         raise ContractError(f"{transfer_config.setting} training requires a classifier head")
     model.apply_freeze_policy(transfer_config)
     params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]

@@ -8,8 +8,10 @@ NT  - network transfer: the same head trained end to end through the
 DNT - direct network transfer: no head at all; the encoder is trained so
       that embedding cosine matches the normalized annotated score.
 
-FT and NT regress onto a sparse distribution over integer score bins
-1..K; DNT regresses cosine onto scores normalized into [0,1] or [-1,1].
+``SETTINGS`` defines each by the parameter sets it trains while ``wem``
+stays frozen.  One that trains ``cla`` has a head, regressed onto a
+sparse distribution over integer score bins 1..K; the others predict
+cosine, which DNT regresses onto scores normalized into [0,1] or [-1,1].
 
 Training, evaluation and prediction share one forward path:
 ``embed_sentences`` embeds all sentences of a batch at once from the
@@ -47,7 +49,12 @@ from .embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, tokenize
 from .encoders import EncoderConfig, EncoderParameters, encode
 from .errors import ContractError, DataError, ShapeError
 
-SETTINGS = ("UE", "FT", "NT", "DNT")
+SETTINGS = {
+    "UE": frozenset(),
+    "FT": frozenset({"cla"}),
+    "NT": frozenset({"enc", "cla"}),
+    "DNT": frozenset({"enc"}),
+}
 LOSS_KINDS = ("MSE", "KL")
 NORM_RANGES = ((0.0, 1.0), (-1.0, 1.0))
 
@@ -62,11 +69,10 @@ SCORE_SLICE = 256
 
 @dataclass(frozen=True)
 class TransferConfig:
-    """One experiment's independent variable.
+    """One experiment's independent variable: a setting of ``SETTINGS``.
 
-    ``loss_kind`` and ``bins`` apply to FT/NT only; ``norm_range`` to DNT
-    only; ``freeze_wem`` to NT/DNT (forced True for FT and UE, whose
-    embedding matrix never trains).
+    ``loss_kind`` and ``bins`` apply to settings with a head, ``norm_range``
+    to the others that train; only those that train ``enc`` may train ``wem``.
     """
 
     setting: str
@@ -78,38 +84,34 @@ class TransferConfig:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ContractError(f"unknown transfer setting {self.setting!r}")
-        if self.setting in ("FT", "NT"):
+        if self.has_head:
             if self.loss_kind not in LOSS_KINDS:
                 raise ContractError(f"{self.setting} requires loss_kind MSE or KL")
             if self.bins is None or self.bins < 2:
                 raise ContractError(f"{self.setting} requires bins >= 2")
             if self.norm_range is not None:
                 raise ContractError(f"{self.setting} does not use norm_range")
-        if self.setting == "DNT":
-            if self.loss_kind is not None or self.bins is not None:
-                raise ContractError("DNT has a fixed loss; loss_kind/bins do not apply")
-            if tuple(self.norm_range or ()) not in NORM_RANGES:
-                raise ContractError("DNT requires norm_range (0,1) or (-1,1)")
-        if self.setting == "UE":
+        elif not SETTINGS[self.setting]:
             if self.loss_kind is not None or self.bins is not None or self.norm_range is not None:
-                raise ContractError("UE admits no training-related fields")
-        if self.setting in ("FT", "UE") and not self.freeze_wem:
+                raise ContractError(f"{self.setting} admits no training-related fields")
+        else:
+            if self.loss_kind is not None or self.bins is not None:
+                raise ContractError(f"{self.setting} has a fixed loss; loss_kind/bins do not apply")
+            if tuple(self.norm_range or ()) not in NORM_RANGES:
+                raise ContractError(f"{self.setting} requires norm_range (0,1) or (-1,1)")
+        if "enc" not in SETTINGS[self.setting] and not self.freeze_wem:
             raise ContractError(f"{self.setting} always freezes the embedding matrix")
+
+    @property
+    def has_head(self) -> bool:
+        """Whether the setting trains, and predicts with, a classifier head."""
+        return "cla" in SETTINGS[self.setting]
 
 
 def trainable_parameter_sets(config: TransferConfig) -> frozenset[str]:
     """Which of {wem, enc, cla} receive gradient updates under the config."""
-    if config.setting == "UE":
-        return frozenset()
-    if config.setting == "FT":
-        return frozenset({"cla"})
-    if config.setting == "NT":
-        base = {"enc", "cla"}
-    else:  # DNT
-        base = {"enc"}
-    if not config.freeze_wem:
-        base.add("wem")
-    return frozenset(base)
+    row = SETTINGS[config.setting]
+    return row if config.freeze_wem else row | {"wem"}
 
 
 @dataclass
@@ -338,18 +340,19 @@ def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequenc
                   embed: Callable = embed_pairs) -> list[float]:
     """Raw predicted scores for sentence pairs, ``SCORE_SLICE`` pairs per pass, no tape.
 
-    UE and DNT predict embedding cosine; FT and NT predict the head's
-    expected bin score.  ``embed`` embeds a slice as ``embed_pairs`` does.
+    A setting with a head predicts the head's expected bin score, the
+    others embedding cosine.  ``embed`` embeds a slice as ``embed_pairs`` does.
     """
-    if config.setting in ("FT", "NT") and model.classifier is None:
+    head = config.has_head
+    if head and model.classifier is None:
         raise ContractError(f"{config.setting} prediction requires a classifier head")
     scores: list[float] = []
     for start in range(0, len(pairs), SCORE_SLICE):
         h_left, h_right = embed(model, pairs[start : start + SCORE_SLICE])
-        if config.setting in ("UE", "DNT"):
-            out = cosine(h_left, h_right)
-        else:
+        if head:
             _, out = classifier_forward(h_left, h_right, model.classifier)
+        else:
+            out = cosine(h_left, h_right)
         scores.extend(out.values.tolist())
     return scores
 
@@ -366,8 +369,10 @@ def rescale_to_bins(score: float, score_range: tuple[float, float], bins: int,
 
 
 def pair_targets(config: TransferConfig, pairs: Sequence) -> np.ndarray:
-    """Regression targets: normalized scores (DNT), sparse bin distributions (FT, NT)."""
-    if config.setting == "DNT":
+    """Regression targets: sparse bin distributions with a head, else normalized scores."""
+    if not SETTINGS[config.setting]:
+        raise ContractError(f"{config.setting} trains nothing, so it has no targets")
+    if not config.has_head:
         return np.array([normalize_score(p.score, p.score_range, config.norm_range)
                          for p in pairs])
     bins = config.bins

@@ -5,8 +5,9 @@ vectorized shortcuts, so they can serve as oracles for the production
 paths: naive two-pass Pearson, O(n^2) counting ranks for Spearman, and a
 step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
 earlier form of a production path instead: the dense lookup adjoint,
-the character-by-character tokenizer, and an FT training loop that
-embeds every batch and every dev evaluation anew with ``embed_pairs``.
+the character-by-character tokenizer, an FT training loop that embeds
+every batch and every dev evaluation anew with ``embed_pairs``, and the
+transfer-setting rules written as one test of the setting name per case.
 """
 
 import math
@@ -15,7 +16,7 @@ import string
 import numpy as np
 
 from simxfer.autodiff import Tape, backward, mean_over_axis
-from simxfer.errors import NumericError
+from simxfer.errors import ContractError, NumericError
 from simxfer.metrics import correlation
 from simxfer.trainer import UNDEFINED_CORRELATION, AdamState, TrainingHistory, adam_step
 from simxfer.transfer import (
@@ -173,3 +174,36 @@ def reference_ft_train(model, config, train_pairs, dev_pairs, metric, training_c
     for t, values in best_values.items():
         t.values = values
     return model, history
+
+
+def reference_transfer_config(setting, loss_kind=None, freeze_wem=True, norm_range=None,
+                              bins=None):
+    """Raise ``ContractError`` for a transfer config the per-setting rules
+    refuse; return the parameter sets an accepted one trains."""
+    if setting not in ("UE", "FT", "NT", "DNT"):
+        raise ContractError(f"unknown transfer setting {setting!r}")
+    if setting in ("FT", "NT"):
+        if loss_kind not in ("MSE", "KL"):
+            raise ContractError(f"{setting} requires loss_kind MSE or KL")
+        if bins is None or bins < 2:
+            raise ContractError(f"{setting} requires bins >= 2")
+        if norm_range is not None:
+            raise ContractError(f"{setting} does not use norm_range")
+    if setting == "DNT":
+        if loss_kind is not None or bins is not None:
+            raise ContractError("DNT has a fixed loss; loss_kind/bins do not apply")
+        if tuple(norm_range or ()) not in ((0.0, 1.0), (-1.0, 1.0)):
+            raise ContractError("DNT requires norm_range (0,1) or (-1,1)")
+    if setting == "UE":
+        if loss_kind is not None or bins is not None or norm_range is not None:
+            raise ContractError("UE admits no training-related fields")
+    if setting in ("FT", "UE") and not freeze_wem:
+        raise ContractError(f"{setting} always freezes the embedding matrix")
+    if setting == "UE":
+        return frozenset()
+    if setting == "FT":
+        return frozenset({"cla"})
+    base = {"enc", "cla"} if setting == "NT" else {"enc"}
+    if not freeze_wem:
+        base.add("wem")
+    return frozenset(base)

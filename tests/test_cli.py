@@ -391,6 +391,26 @@ def test_bad_grid_and_model_values_are_spec_errors(tmp_path, capsys, key, value)
     assert "spec error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, setting, key, value, message", [
+    ("run", "DNT", "transfer.loss", "KL", "DNT has a fixed loss"),
+    ("run", "DNT", "transfer.bins", "7", "DNT has a fixed loss"),
+    ("run", "FT", "transfer.norm_lo", "-1", "FT does not use norm_range"),
+    ("run", "NT", "transfer.norm_hi", "1", "NT does not use norm_range"),
+    ("eval", "UE", "transfer.loss", "MSE", "UE admits no training-related fields"),
+    ("eval", "UE", "transfer.norm_lo", "0", "UE admits no training-related fields"),
+], ids=["DNT-loss", "DNT-bins", "FT-norm_lo", "NT-norm_hi", "UE-loss", "UE-norm_lo"])
+def test_transfer_keys_the_setting_does_not_use_are_spec_errors(tmp_path, capsys, mode,
+                                                                setting, key, value, message):
+    # every data path is missing, so a key dropped instead of refused would exit 2
+    missing = str(tmp_path / "missing.tsv")
+    spec = write_spec(tmp_path, **{"transfer.setting": setting, key: value,
+                                   "data.train": missing, "data.test": missing,
+                                   "embeddings.path": missing})
+    assert main([mode, "--spec", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert "spec error" in err and message in err
+
+
 def test_data_error_exit_code(tmp_path):
     spec = write_spec(tmp_path, **{"data.train": str(tmp_path / "missing.tsv"),
                                    "transfer.setting": "DNT",

@@ -1,11 +1,12 @@
 """Tests for the transfer settings: heads, losses, transforms, freeze matrix."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import bilstm_reference_embedding
+from oracles import bilstm_reference_embedding, reference_transfer_config
 
 from simxfer import autodiff
 from simxfer.autodiff import Tape, Tensor, grad_check, softmax
@@ -15,6 +16,7 @@ from simxfer.encoders import EncoderConfig, encode, init_encoder
 from simxfer.errors import ContractError, DataError, NumericError, ShapeError
 from simxfer.transfer import (
     SCORE_SLICE,
+    SETTINGS,
     ClassifierParameters,
     SimilarityModel,
     TransferConfig,
@@ -379,6 +381,35 @@ def test_transfer_config_validation():
         TransferConfig("DNT", norm_range=(0, 2))
     with pytest.raises(ContractError):
         TransferConfig("UE", norm_range=(0, 1))
+
+
+def test_settings_table_names_the_four_settings():
+    assert set(SETTINGS) == {"UE", "FT", "NT", "DNT"}
+    assert all(isinstance(row, frozenset) and row <= {"enc", "cla"} for row in SETTINGS.values())
+
+
+@pytest.mark.parametrize("setting", ["UE", "FT", "NT", "DNT", "XT"])
+def test_transfer_config_follows_reference_rules(setting):
+    """Over 128 field combinations per setting, the table-driven config
+    accepts and refuses as the per-setting rules do, with the same
+    exception type, and trains the same parameter sets."""
+    mismatches = []
+    for loss_kind, bins, norm_range, freeze_wem in itertools.product(
+            (None, "MSE", "KL", "L1"), (None, 1, 2, 5),
+            (None, (0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)), (True, False)):
+        fields = dict(loss_kind=loss_kind, freeze_wem=freeze_wem, norm_range=norm_range,
+                      bins=bins)
+        try:
+            want = reference_transfer_config(setting, **fields)
+        except Exception as exc:  # noqa: BLE001 - the type itself is compared
+            want = type(exc)
+        try:
+            got = trainable_parameter_sets(TransferConfig(setting, **fields))
+        except Exception as exc:  # noqa: BLE001
+            got = type(exc)
+        if got != want:
+            mismatches.append((fields, got, want))
+    assert not mismatches, mismatches[:5]
 
 
 @pytest.mark.parametrize(
