@@ -12,16 +12,15 @@ from simxfer.autodiff import (
     Tensor,
     backward,
     cosine,
-    forward_primitive,
+    elementwise_multiply,
     grad_check,
     matmul,
     softmax,
-    subtract,
 )
 
 # --- forward primitives (no tape needed) --------------------------------------
 
-product = forward_primitive("elementwise_multiply", ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))
+product = elementwise_multiply([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
 print("elementwise product:", product.values)
 
 uniform = softmax(Tensor([0.0, 0.0, 0.0, 0.0, 0.0]))
@@ -66,13 +65,3 @@ def quadratic():
 
 error = grad_check(quadratic, [w], step=1e-5)
 print(f"\ngrad_check on a quadratic: max relative error {error:.2e}")
-
-# --- replay -------------------------------------------------------------------
-
-with Tape() as tape:
-    a = Tensor([1.0, 4.0])
-    b = Tensor([3.0, 1.0])
-    out = softmax(subtract(a, b))
-before = out.values.copy()
-tape.replay()
-print("replay reproduces outputs bitwise:", np.array_equal(before, out.values))

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from simxfer.autodiff import cosine
-from simxfer.embeddings import load_embeddings, lookup, tokenize
+from simxfer.autodiff import cosine, lookup_rows
+from simxfer.embeddings import load_embeddings, tokenize
 from simxfer.encoders import EncoderConfig, encode, init_encoder
+from simxfer.transfer import index_sentences
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -23,8 +24,9 @@ print(f"loaded {len(result.vocabulary)} tokens "
 sentence = "To watch a Film."
 tokens = tokenize(sentence)
 print(f"tokenize({sentence!r}) -> {tokens}")
-print("out-of-vocabulary words map to the unknown row:",
-      result.vocabulary.lookup("zzz-unseen") == 0)
+print(f"its token ids -> {index_sentences(result.vocabulary, [sentence])[sentence]}")
+print("out-of-vocabulary words map to the unknown row 0:",
+      index_sentences(result.vocabulary, ["zzz-unseen"]))
 
 configs = {
     "word-average": EncoderConfig("word-average", input_dim=50),
@@ -34,11 +36,12 @@ configs = {
 
 print("\nembedding three related phrases under each encoder:")
 phrases = ["guitar melody concert", "piano chord melody", "rain storm umbrella"]
+ids = index_sentences(result.vocabulary, phrases)
 for name, config in configs.items():
     params = init_encoder(config)
     embeddings = []
     for phrase in phrases:
-        vectors = lookup(result.embedding, result.vocabulary, tokenize(phrase))
+        vectors = lookup_rows(result.embedding.matrix, ids[phrase])
         embeddings.append(encode(params, config, vectors))
     same_topic = float(cosine(embeddings[0], embeddings[1]).values)
     cross_topic = float(cosine(embeddings[0], embeddings[2]).values)

@@ -4,6 +4,9 @@ Produces:
   activity_pairs.tsv        200 scored phrase pairs, generic TSV, scores in [0, 5]
   activity_pairs_test.tsv   60 held-out pairs from the same distribution
   wordvecs_50d.txt          50-dimensional vectors for every token in the pairs
+  activity_pairs{,_test}_stsb.tsv   the same pairs in STS-Benchmark columns
+  activity_pairs{,_test}_sick.tsv   the same pairs in SICK columns, each score
+                                    mapped affinely from 0..5 onto 1..5
 
 Phrases are built from 12 topic clusters plus filler words.  Pair scores
 follow a random symmetric topic-affinity table (high on the diagonal),
@@ -72,6 +75,28 @@ def phrase(rng, topic_words):
     return " ".join(words)
 
 
+def sts_benchmark_lines(lines):
+    """Generic ``score TAB a TAB b`` lines as STS-Benchmark rows (score in column 5)."""
+    rows = []
+    for i, line in enumerate(lines):
+        score, a, b = line.split("\t")
+        rows.append(f"activity\tfixture\t2018\t{i:04d}\t{score}\t{a}\t{b}")
+    return rows
+
+
+def sick_lines(lines):
+    """Generic lines as SICK rows under a header, scores mapped from 0..5 onto 1..5."""
+    rows = ["pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment"]
+    for i, line in enumerate(lines, start=1):
+        score, a, b = line.split("\t")
+        rows.append(f"{i}\t{a}\t{b}\t{1 + 0.8 * float(score):.3f}\tNEUTRAL")
+    return rows
+
+
+def write_lines(name, lines):
+    (HERE / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def main():
     rng = np.random.default_rng(SEED)
     vectors = build_vectors(rng)
@@ -85,14 +110,16 @@ def main():
         return f"{score:.2f}\t{phrase(rng, TOPICS[names[ta]])}\t{phrase(rng, TOPICS[names[tb]])}"
 
     lines = [pair_line() for _ in range(N_PAIRS)]
-    (HERE / "activity_pairs.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     test_lines = [pair_line() for _ in range(N_TEST_PAIRS)]
-    (HERE / "activity_pairs_test.tsv").write_text("\n".join(test_lines) + "\n", encoding="utf-8")
+    for stem, pair_lines in (("activity_pairs", lines), ("activity_pairs_test", test_lines)):
+        write_lines(f"{stem}.tsv", pair_lines)
+        write_lines(f"{stem}_stsb.tsv", sts_benchmark_lines(pair_lines))
+        write_lines(f"{stem}_sick.tsv", sick_lines(pair_lines))
 
     vec_lines = []
     for word, vec in vectors.items():
         vec_lines.append(word + " " + " ".join(f"{v:.5f}" for v in vec))
-    (HERE / "wordvecs_50d.txt").write_text("\n".join(vec_lines) + "\n", encoding="utf-8")
+    write_lines("wordvecs_50d.txt", vec_lines)
     print(f"wrote {N_PAIRS}+{N_TEST_PAIRS} pairs and {len(vectors)} vectors")
 
 

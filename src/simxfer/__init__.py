@@ -15,11 +15,10 @@ from .autodiff import (
     Tensor,
     backward,
     cosine,
-    forward_primitive,
     grad_check,
 )
 from .data import DatasetSplit, ScoredPair, load_generic_tsv, load_sick, load_sts_benchmark, split_dataset
-from .embeddings import EmbeddingMatrix, Vocabulary, load_embeddings, lookup, tokenize
+from .embeddings import EmbeddingMatrix, Vocabulary, load_embeddings, tokenize
 from .encoders import EncoderConfig, EncoderParameters, encode, init_encoder
 from .metrics import EvaluationResult, pearson, spearman
 from .trainer import (

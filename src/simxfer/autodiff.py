@@ -6,8 +6,7 @@ is recorded, so forward-only passes keep no graph.  ``backward`` walks
 the nodes in reverse, keying adjoints by the tensor objects, and returns
 the gradients of the trainable leaves; it skips every node that no
 trainable leaf feeds.  Tensors hold no reference to a tape, so a tape and
-everything it saved is freed as soon as the caller drops it.  Replaying a
-tape forward reproduces all recorded outputs bitwise.
+everything it saved is freed as soon as the caller drops it.
 
 A trainable matrix reached only through ``lookup_rows`` gets a
 ``RowSparse`` gradient: the sorted rows the lookups read and one adjoint
@@ -16,7 +15,7 @@ Its rows are bitwise those of the dense gradient; every other row of that
 is 0.  A matrix that also feeds a dense primitive gets the dense sum.
 
 Each primitive kind is one ``_KERNELS`` entry, its (forward, backward)
-kernel pair, which applying, replaying and differentiating all read.
+kernel pair, which applying and differentiating both read.
 
 Primitives act on a leading batch axis: ``add``, ``subtract`` and
 ``elementwise_multiply`` broadcast (a bias vector against a batch of rows),
@@ -122,7 +121,7 @@ _TAPES: list["Tape"] = []  # the active-tape stack; the innermost tape records
 
 
 class Tape:
-    """Ordered, replayable record of primitive applications."""
+    """Ordered record of primitive applications."""
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
@@ -134,17 +133,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = _TAPES.pop()
         assert popped is self
-
-    def replay(self) -> None:
-        """Re-execute every node forward, overwriting recorded outputs.
-
-        With unchanged leaf values this reproduces all outputs bitwise.
-        """
-        for node in self.nodes:
-            values = [t.values for t in node.inputs]
-            out, saved = _KERNELS[node.kind][0](values, node.attrs)
-            node.output.values = out
-            node.saved = saved
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +390,6 @@ def _apply(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Te
     if _TAPES:
         _TAPES[-1].nodes.append(TapeNode(kind, tensors, out, attrs=attrs, saved=saved))
     return out
-
-
-def forward_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Apply a primitive by name (recorded if a tape is open)."""
-    if kind not in _KERNELS:
-        raise ContractError(f"unknown primitive kind {kind!r}")
-    return _apply(kind, inputs, attrs)
 
 
 # Named wrappers used throughout the package.

@@ -185,14 +185,6 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             bins=None if bins is None else int(bins),
         )
 
-        embeddings_dim = int(need("embeddings.dim"))
-        encoder = EncoderConfig(
-            kind=entries.get("encoder.kind", "word-average"),
-            input_dim=embeddings_dim,
-            hidden_dim=int(entries.get("encoder.hidden", "0")),
-            seed=int(entries.get("encoder.seed", str(seed + 1))),
-        )
-
         grid = HyperGrid(
             batch_sizes=_ints(entries.get("train.batch_sizes", "")) or DEFAULT_BATCH_SIZES,
             learning_rates=_floats(entries.get("train.learning_rates", "")) or DEFAULT_LEARNING_RATES,
@@ -200,7 +192,15 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             patience=int(entries.get("train.patience", "5")),
             seed=seed,
         )
-        grid.cells()  # rejects non-positive grid values before any file is read
+        grid.cells()  # refuses bad grid values and a negative seed before any file is read
+
+        embeddings_dim = int(need("embeddings.dim"))
+        encoder = EncoderConfig(
+            kind=entries.get("encoder.kind", "word-average"),
+            input_dim=embeddings_dim,
+            hidden_dim=int(entries.get("encoder.hidden", "0")),
+            seed=int(entries.get("encoder.seed", str(seed + 1))),
+        )
 
         train_path = _resolve(need("data.train"))
         spec = ExperimentSpec(
@@ -226,6 +226,8 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             raise SpecError(f"{path}: data.dev_fraction must lie strictly between 0 and 1")
         if spec.classifier_hidden <= 0:
             raise SpecError(f"{path}: classifier.hidden must be positive")
+        if spec.classifier_seed < 0:
+            raise SpecError(f"{path}: classifier.seed must be non-negative")
     except (ValueError, ContractError) as exc:
         raise SpecError(f"{path}: {exc}") from exc
     return spec
@@ -248,21 +250,19 @@ class ExperimentReport:
     wall_clock_seconds: float | None = None  # in-memory only, never serialized
 
 
+# the report's key lines in file order, each with the type that parses its value
+REPORT_FIELDS = {"dataset": str, "metric": str, "encoder": str, "setting": str,
+                 "test_correlation": float, "dev_correlation": float, "best_batch_size": int,
+                 "best_learning_rate": float, "best_max_epochs": int, "best_epoch": int,
+                 "warnings": int}
+
+
 def write_report(report: ExperimentReport, path) -> None:
     lines = [REPORT_HEADER]
-    lines.append(f"dataset\t{report.dataset}")
-    lines.append(f"metric\t{report.metric}")
-    lines.append(f"encoder\t{report.encoder}")
-    lines.append(f"setting\t{report.setting}")
-    lines.append(f"test_correlation\t{report.test_correlation!r}")
-    if report.dev_correlation is not None:
-        lines.append(f"dev_correlation\t{report.dev_correlation!r}")
-    if report.best_batch_size is not None:
-        lines.append(f"best_batch_size\t{report.best_batch_size}")
-        lines.append(f"best_learning_rate\t{report.best_learning_rate!r}")
-        lines.append(f"best_max_epochs\t{report.best_max_epochs}")
-        lines.append(f"best_epoch\t{report.best_epoch}")
-    lines.append(f"warnings\t{report.warnings}")
+    for key, kind in REPORT_FIELDS.items():
+        value = getattr(report, key)
+        if value is not None:
+            lines.append(f"{key}\t{value!r}" if kind is float else f"{key}\t{value}")
     for batch, lr, epochs, corr in report.cells:
         lines.append(f"cell\t{batch}\t{lr!r}\t{epochs}\t{corr!r}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -290,26 +290,17 @@ def parse_report(path) -> ExperimentReport:
                 cells.append((int(batch), float(lr), int(epochs), float(corr)))
             except ValueError:
                 raise DataError(f"{path}: malformed cell line {line!r}") from None
-        elif len(parts) == 2:
-            fields[parts[0]] = parts[1]
-        else:
+        elif len(parts) != 2:
             raise DataError(f"{path}: malformed report line {line!r}")
+        elif parts[0] not in REPORT_FIELDS:
+            raise DataError(f"{path}: unknown report key {parts[0]!r}")
+        elif parts[0] in fields:
+            raise DataError(f"{path}: duplicate report key {parts[0]!r}")
+        else:
+            fields[parts[0]] = parts[1]
     try:
-        return ExperimentReport(
-            dataset=fields["dataset"],
-            metric=fields["metric"],
-            encoder=fields["encoder"],
-            setting=fields["setting"],
-            test_correlation=float(fields["test_correlation"]),
-            dev_correlation=float(fields["dev_correlation"]) if "dev_correlation" in fields else None,
-            best_batch_size=int(fields["best_batch_size"]) if "best_batch_size" in fields else None,
-            best_learning_rate=float(fields["best_learning_rate"]) if "best_learning_rate" in fields else None,
-            best_max_epochs=int(fields["best_max_epochs"]) if "best_max_epochs" in fields else None,
-            best_epoch=int(fields["best_epoch"]) if "best_epoch" in fields else None,
-            warnings=int(fields.get("warnings", "0")),
-            cells=cells,
-        )
-    except (KeyError, ValueError) as exc:
+        return ExperimentReport(**{k: REPORT_FIELDS[k](v) for k, v in fields.items()}, cells=cells)
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: incomplete report: {exc}") from exc
 
 

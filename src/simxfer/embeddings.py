@@ -1,4 +1,4 @@
-"""Vocabulary management, word-vector loading, tokenization, and lookup.
+"""Vocabulary management, word-vector loading and tokenization.
 
 The embedding file format is plain UTF-8 text, one entry per line:
 ``token SP value1 SP ... SP valueD``, no header.  Duplicate tokens keep
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, lookup_rows
+from .autodiff import Tensor
 from .errors import ContractError, DataError
 
 logger = logging.getLogger(__name__)
@@ -43,9 +43,6 @@ class Vocabulary:
         if token not in self.index:
             self.index[token] = len(self.index)
         return self.index[token]
-
-    def lookup(self, token: str) -> int:
-        return self.index.get(token, UNK_INDEX)
 
 
 @dataclass
@@ -131,14 +128,3 @@ def tokenize(text: str) -> list[str]:
         tokens.extend(rest[len(core) :])
     return tokens
 
-
-def lookup(embedding: EmbeddingMatrix, vocabulary: Vocabulary, tokens: list[str]) -> Tensor:
-    """Map tokens to their embedding rows as a T x d tensor.
-
-    Out-of-vocabulary tokens map to the unknown row.  Gradients flow back
-    into the matrix when it is trainable.
-    """
-    if not tokens:
-        raise DataError("empty sentence: no tokens to look up")
-    indices = [vocabulary.index.get(t, UNK_INDEX) for t in tokens]
-    return lookup_rows(embedding.matrix, indices)

@@ -52,6 +52,8 @@ class EncoderConfig:
             raise ContractError("input_dim must be positive")
         if self.kind != "word-average" and self.hidden_dim <= 0:
             raise ContractError(f"{self.kind} requires a positive hidden_dim")
+        if self.seed < 0:
+            raise ContractError("encoder seed must be non-negative")
 
     @property
     def output_dim(self) -> int:

@@ -76,6 +76,8 @@ class TrainingConfig:
         if not (min(self.batch_size, self.max_epochs, self.patience) > 0
                 and 0 < self.learning_rate < math.inf):
             raise ContractError("training config values must be positive and finite")
+        if self.seed < 0:
+            raise ContractError("seed must be non-negative")
 
 
 class AdamState:

@@ -10,13 +10,13 @@ import pytest
 from oracles import dense_lookup_backward
 
 from simxfer import autodiff as ad
-from simxfer.autodiff import Tape, Tensor, backward, cosine, forward_primitive, grad_check
+from simxfer.autodiff import Tape, Tensor, backward, cosine, grad_check
 from simxfer.errors import ContractError, NumericError, ShapeError
 
 
 def test_elementwise_multiply_example():
     with Tape():
-        out = forward_primitive("elementwise_multiply", ([1, 2, 3], [4, 5, 6]))
+        out = ad.elementwise_multiply([1, 2, 3], [4, 5, 6])
     assert out.values.tolist() == [4, 10, 18]
 
 
@@ -151,27 +151,6 @@ def test_non_trainable_leaves_receive_no_gradient():
     with Tape() as tape:
         loss = ad.matmul(x, ad.add(x, y))
     assert list(backward(tape, loss)) == [y]
-
-
-def test_unknown_primitive_kind():
-    with Tape():
-        with pytest.raises(ContractError):
-            forward_primitive("convolve", ([1.0],))
-
-
-def test_tape_replay_is_bitwise():
-    rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(3, 4)), trainable=True)
-    w = Tensor(rng.normal(size=(4,)))
-    with Tape() as tape:
-        hidden = ad.tanh(ad.matmul(x, w))
-        out = ad.softmax(hidden)
-        loss = ad.mean_over_axis(out, axis=0)
-    snapshots = [(node.output, node.output.values.copy()) for node in tape.nodes]
-    tape.replay()
-    for tensor, before in snapshots:
-        assert np.array_equal(tensor.values, before)
-    assert float(loss.values) == float(snapshots[-1][1])
 
 
 def test_primitive_outside_tape_records_nothing(monkeypatch):

@@ -161,6 +161,20 @@ def test_table_rejects_malformed_cell_as_data_error(tmp_path, capsys, cell):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("test_correlation\t0.5", "duplicate report key 'test_correlation'"),
+    ("bogus\tx", "unknown report key 'bogus'"),
+], ids=["duplicate", "unknown"])
+def test_table_rejects_duplicate_and_unknown_report_keys(tmp_path, capsys, line, message):
+    path = tmp_path / "r.tsv"
+    write_report(sample_report(), path)
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        parse_report(path)
+    assert main(["table", str(path)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 # --- table --------------------------------------------------------------------
 
 
@@ -409,6 +423,21 @@ def test_transfer_keys_the_setting_does_not_use_are_spec_errors(tmp_path, capsys
     assert main([mode, "--spec", str(spec)]) == 1
     err = capsys.readouterr().err
     assert "spec error" in err and message in err
+
+
+@pytest.mark.parametrize("mode, args, overrides", [
+    ("run", ["--seed", "-1"], {"transfer.setting": "DNT", "transfer.freeze_wem": "false"}),
+    ("eval", [], {"seed": "-3"}),
+    ("run", [], {"transfer.setting": "DNT", "encoder.kind": "bilstm-avg",
+                 "encoder.hidden": "4", "encoder.seed": "-1"}),
+    ("run", [], {"transfer.setting": "FT", "classifier.seed": "-1"}),
+], ids=["option-seed", "spec-seed", "encoder-seed", "classifier-seed"])
+def test_negative_seeds_are_spec_errors(tmp_path, capsys, mode, args, overrides):
+    # the embedding file, read first, is missing, so a seed checked late would exit 2
+    spec = write_spec(tmp_path, **{"embeddings.path": str(tmp_path / "missing.txt"), **overrides})
+    assert main([mode, "--spec", str(spec), *args]) == 1
+    err = capsys.readouterr().err
+    assert "spec error" in err and "seed must be non-negative" in err
 
 
 def test_data_error_exit_code(tmp_path):

@@ -1,4 +1,5 @@
-"""Tests for vocabulary, embedding loading, tokenization, and lookup."""
+"""Tests for vocabulary, embedding loading, tokenization, and lookup through
+``index_sentences`` and ``lookup_rows``."""
 
 import string
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_tokenize
 
-from simxfer.autodiff import Tape, backward, dense, matmul
-from simxfer.embeddings import UNK_INDEX, load_embeddings, lookup, tokenize
+from simxfer.autodiff import Tape, backward, dense, lookup_rows, matmul
+from simxfer.embeddings import UNK_INDEX, load_embeddings, tokenize
 from simxfer.errors import DataError
+from simxfer.transfer import index_sentences
 
 
 def write_vectors(tmp_path, text, name="vecs.txt"):
@@ -19,20 +21,26 @@ def write_vectors(tmp_path, text, name="vecs.txt"):
     return path
 
 
+def lookup(result, text):
+    """The T x d embedding rows of ``text``'s tokens, as the package looks them up."""
+    ids = index_sentences(result.vocabulary, [text])[text]
+    return lookup_rows(result.embedding.matrix, ids)
+
+
 def test_load_small_file(tmp_path):
     path = write_vectors(tmp_path, "the 0.1 0.2\ncat 0.3 0.4\n")
     result = load_embeddings(path, expected_dim=2)
     assert len(result.vocabulary) == 3  # unk, the, cat
     assert result.embedding.matrix.shape == (3, 2)
-    assert result.vocabulary.lookup("the") == 1
-    assert result.vocabulary.lookup("cat") == 2
+    assert result.vocabulary.index["the"] == 1
+    assert result.vocabulary.index["cat"] == 2
     assert result.skipped_lines == 0
 
 
 def test_unk_row_is_mean_of_loaded_vectors(tmp_path):
     path = write_vectors(tmp_path, "a 1.0 3.0\nb 3.0 5.0\n")
     result = load_embeddings(path, expected_dim=2)
-    assert result.vocabulary.lookup("zzz") == UNK_INDEX
+    assert index_sentences(result.vocabulary, ["zzz"]) == {"zzz": [UNK_INDEX]}
     assert np.allclose(result.embedding.matrix.values[UNK_INDEX], [2.0, 4.0])
 
 
@@ -69,7 +77,7 @@ def test_unk_row_stays_finite_when_the_row_sum_overflows(tmp_path):
 def test_duplicate_tokens_keep_first(tmp_path):
     path = write_vectors(tmp_path, "dog 1 1\ndog 9 9\n")
     result = load_embeddings(path, expected_dim=2)
-    assert np.allclose(result.embedding.matrix.values[result.vocabulary.lookup("dog")], [1, 1])
+    assert np.allclose(result.embedding.matrix.values[result.vocabulary.index["dog"]], [1, 1])
 
 
 def test_empty_file_is_fatal(tmp_path):
@@ -115,7 +123,7 @@ def test_tokenize_never_empty_for_word_input():
 def test_lookup_known_token(tmp_path):
     result = load_embeddings(write_vectors(tmp_path, "the 0.1 0.2\ncat 0.3 0.4\n"), 2)
     with Tape():
-        out = lookup(result.embedding, result.vocabulary, ["the"])
+        out = lookup(result, "the")
     assert out.shape == (1, 2)
     assert np.array_equal(out.values[0], result.embedding.matrix.values[1])
 
@@ -123,14 +131,14 @@ def test_lookup_known_token(tmp_path):
 def test_lookup_oov_maps_to_unk(tmp_path):
     result = load_embeddings(write_vectors(tmp_path, "the 0.1 0.2\n"), 2)
     with Tape():
-        out = lookup(result.embedding, result.vocabulary, ["zzzunseen"])
+        out = lookup(result, "zzzunseen")
     assert np.array_equal(out.values[0], result.embedding.matrix.values[UNK_INDEX])
 
 
 def test_lookup_preserves_order(tmp_path):
     result = load_embeddings(write_vectors(tmp_path, "the 0.1 0.2\ncat 0.3 0.4\n"), 2)
     with Tape():
-        out = lookup(result.embedding, result.vocabulary, ["the", "cat"])
+        out = lookup(result, "the cat")
     assert np.array_equal(out.values,
                           result.embedding.matrix.values[[1, 2]])
 
@@ -139,7 +147,7 @@ def test_lookup_empty_sentence_errors(tmp_path):
     result = load_embeddings(write_vectors(tmp_path, "the 0.1 0.2\n"), 2)
     with pytest.raises(DataError):
         with Tape():
-            lookup(result.embedding, result.vocabulary, [])
+            lookup(result, "")
 
 
 def test_gradients_reach_trainable_matrix(tmp_path):
@@ -147,11 +155,11 @@ def test_gradients_reach_trainable_matrix(tmp_path):
     matrix = result.embedding.matrix
     matrix.trainable = True
     with Tape() as tape:
-        rows = lookup(result.embedding, result.vocabulary, ["cat", "cat"])
+        rows = lookup(result, "cat cat")
         flat = matmul(rows, np.ones(2))
         loss = matmul(flat, flat)
     grad = backward(tape, loss)[matrix]  # row-sparse: only the looked-up row
-    cat_row = result.vocabulary.lookup("cat")
+    cat_row = result.vocabulary.index["cat"]
     assert grad.rows.tolist() == [cat_row]
     assert np.any(grad.values[0] != 0)
     assert np.all(dense(grad)[UNK_INDEX] == 0)
@@ -160,7 +168,7 @@ def test_gradients_reach_trainable_matrix(tmp_path):
 def test_frozen_matrix_receives_no_gradient(tmp_path):
     result = load_embeddings(write_vectors(tmp_path, "the 0.1 0.2\n"), 2)
     with Tape() as tape:
-        rows = lookup(result.embedding, result.vocabulary, ["the"])
+        rows = lookup(result, "the")
         flat = matmul(rows, np.ones(2))
         loss = matmul(flat, flat)
     assert result.embedding.matrix not in backward(tape, loss)
@@ -170,7 +178,7 @@ def test_lookup_of_tokenize_is_deterministic(tmp_path):
     result = load_embeddings(write_vectors(tmp_path, "the 0.1 0.2\ncat 0.3 0.4\n"), 2)
     text = "The cat, the CAT."
     with Tape():
-        a = lookup(result.embedding, result.vocabulary, tokenize(text)).values
+        a = lookup(result, text).values
     with Tape():
-        b = lookup(result.embedding, result.vocabulary, tokenize(text)).values
+        b = lookup(result, text).values
     assert np.array_equal(a, b)

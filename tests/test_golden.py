@@ -20,7 +20,8 @@ from simxfer.cli import ENV_DATA_DIR, main
 GOLDEN_DIR = TESTS_DIR / "golden"
 SPECS = {"ue_wordavg": "eval", "dnt_bilstm_run": "run", "ft_wordavg_run": "run",
          "dnt_wordavg_grid": "grid", "ft_bilstm_run": "run", "nt_kl_bilstm_max": "run",
-         "nt_mse_wem_wordavg": "run", "dnt_sym_wem_bilstm": "run"}
+         "nt_mse_wem_wordavg": "run", "dnt_sym_wem_bilstm": "run",
+         "dnt_stsb_wem_wordavg": "run", "ft_sick_wordavg": "run"}
 TOLERANCE = 1e-12
 CORRELATION_FIELDS = {"test_correlation": 1, "dev_correlation": 1, "cell": 4}
 

@@ -65,15 +65,15 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, tensors):
 
 @st.composite
 def reports(draw):
-    trained = draw(st.booleans())
+    # each optional field is drawn on its own, so partly set best-cell fields occur
     return ExperimentReport(
         dataset=draw(LINE_TEXT), metric=draw(LINE_TEXT), encoder=draw(LINE_TEXT),
         setting=draw(LINE_TEXT), test_correlation=draw(FINITE),
         dev_correlation=draw(st.none() | FINITE),
-        best_batch_size=draw(INTS) if trained else None,
-        best_learning_rate=draw(FINITE) if trained else None,
-        best_max_epochs=draw(INTS) if trained else None,
-        best_epoch=draw(INTS) if trained else None,
+        best_batch_size=draw(st.none() | INTS),
+        best_learning_rate=draw(st.none() | FINITE),
+        best_max_epochs=draw(st.none() | INTS),
+        best_epoch=draw(st.none() | INTS),
         warnings=draw(INTS),
         cells=draw(st.lists(st.tuples(INTS, FINITE, INTS, FINITE), max_size=4)),
     )

@@ -9,9 +9,9 @@ import pytest
 from oracles import bilstm_reference_embedding, reference_transfer_config
 
 from simxfer import autodiff
-from simxfer.autodiff import Tape, Tensor, grad_check, softmax
+from simxfer.autodiff import Tape, Tensor, grad_check, lookup_rows, softmax
 from simxfer.data import ScoredPair
-from simxfer.embeddings import EmbeddingMatrix, Vocabulary, lookup, tokenize
+from simxfer.embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, tokenize
 from simxfer.encoders import EncoderConfig, encode, init_encoder
 from simxfer.errors import ContractError, DataError, NumericError, ShapeError
 from simxfer.transfer import (
@@ -24,6 +24,7 @@ from simxfer.transfer import (
     dnt_loss,
     embed_sentences,
     ft_loss,
+    index_sentences,
     init_classifier,
     normalize_score,
     predict,
@@ -295,7 +296,8 @@ def test_predict_requires_head_for_ft():
 
 def _reference_embedding(model, text):
     """Plain-numpy embedding of one sentence, without the tape."""
-    vectors = model.embedding.matrix.values[[model.vocabulary.lookup(t) for t in tokenize(text)]]
+    vectors = model.embedding.matrix.values[
+        [model.vocabulary.index.get(t, UNK_INDEX) for t in tokenize(text)]]
     if model.encoder_config.kind == "word-average":
         return vectors.mean(axis=0)
     params = {}
@@ -317,7 +319,8 @@ def test_embed_sentences_matches_per_sentence_encode(kind):
     assert batched.shape == (len(sentences), model.encoder_config.output_dim)
     for row, text in zip(batched, sentences):
         with Tape():
-            vectors = lookup(model.embedding, model.vocabulary, tokenize(text))
+            ids = index_sentences(model.vocabulary, [text])[text]
+            vectors = lookup_rows(model.embedding.matrix, ids)
             single = encode(model.encoder_params, model.encoder_config, vectors).values
         assert np.allclose(row, single, rtol=0, atol=1e-12)
         assert np.allclose(row, _reference_embedding(model, text), rtol=0, atol=1e-12)
