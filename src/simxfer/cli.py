@@ -222,6 +222,8 @@ def build_spec(entries: dict[str, str], path, seed_override: int | None = None,
             classifier_seed=int(entries.get("classifier.seed", str(seed + 2))),
             grid=grid,
         )
+        if any(c in spec.name for c in "\t\r\n"):  # the report is one tab-separated line per key
+            raise SpecError(f"{path}: name {spec.name!r} must not contain a tab or line break")
         if not 0.0 < spec.dev_fraction < 1.0:
             raise SpecError(f"{path}: data.dev_fraction must lie strictly between 0 and 1")
         if spec.classifier_hidden <= 0:

@@ -1,9 +1,10 @@
 """Adam optimization, batching, early stopping, and grid search.
 
-One training run prepares its splits once: it indexes each distinct
-train and dev sentence and makes each train pair's target, and under FT,
-whose embeddings are fixed features, it embeds each distinct sentence
-into a table whose rows batches and dev scoring gather.  Then per epoch:
+A ``train`` or ``grid_search`` call prepares its splits once: it indexes
+each distinct train and dev sentence and makes each train pair's target,
+and under FT, whose embeddings are fixed features, it embeds each
+distinct sentence into a table whose rows batches and dev scoring
+gather.  Then per epoch:
 seeded shuffle, fixed-size batches (the last partial batch is kept), one
 tape per batch, loss per setting, ``backward``, whose returned gradients
 feed the Adam step.  A batch is embedded and scored as a whole, through
@@ -20,17 +21,23 @@ copy is restored at the end unless the best epoch is the last one run.
 
 The hyperparameter grid defaults to batch sizes {32, 64}, learning rates
 {0.1, 0.01, 0.001, 0.0001} and epoch budgets {10, 30, 50}; every cell is
-scored by dev correlation of its early-stopped model.  ``grid_search``
-picks the winner in one pass over the cells in tie-break order and keeps
-only the winning cell's model; the CLI's ``run`` is a one-cell grid.
+scored by dev correlation of its early-stopped model.  The shuffle is
+seeded by ``TrainingConfig.seed`` alone, so a shorter budget's run is a
+prefix of the longest one with the same learning rate and batch size:
+``grid_search`` prepares the splits once, trains each (learning rate,
+batch size) once at the largest budget, and reads every budget's cell
+from that run as the budget closes.  ``train`` is the one-budget case of
+the same epoch loop.  The winner is picked in one pass over the cells in
+tie-break order, and only its model or best-epoch snapshot is kept; the
+CLI's ``run`` is a one-cell grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -187,13 +194,16 @@ def evaluate_split(model: SimilarityModel, config: TransferConfig, pairs: list[S
 
 
 class PreparedSplits:
-    """What ``train`` reads of its splits, made once per call (see the module docstring)."""
+    """What training reads of its splits, made once per ``train`` or
+    ``grid_search`` call (see the module docstring)."""
 
     def __init__(self, model: SimilarityModel, config: TransferConfig,
-                 train_pairs: list[ScoredPair], dev_pairs: list[ScoredPair]):
+                 train_split: DatasetSplit, dev_split: DatasetSplit):
+        self.train, self.dev = train_split, dev_split
         self.ids = index_sentences(model.vocabulary, (
-            text for p in (*train_pairs, *dev_pairs) for text in (p.sentence_a, p.sentence_b)))
-        self.targets = pair_targets(config, train_pairs)
+            text for p in (*train_split.pairs, *dev_split.pairs)
+            for text in (p.sentence_a, p.sentence_b)))
+        self.targets = pair_targets(config, train_split.pairs)
         frozen = not trainable_parameter_sets(config) & {"wem", "enc"}  # FT: fixed features
         self.features = embed_sentences(model, list(self.ids), self.ids).values if frozen else None
         self.rows = {text: i for i, text in enumerate(self.ids)} if frozen else None
@@ -206,6 +216,71 @@ class PreparedSplits:
                 Tensor(self.features[[self.rows[p.sentence_b] for p in pairs]]))
 
 
+def _trainable(model: SimilarityModel, transfer_config: TransferConfig) -> list[Tensor]:
+    """Apply the freeze policy to ``model``; return the tensors it trains."""
+    if transfer_config.has_head and model.classifier is None:
+        raise ContractError(f"{transfer_config.setting} training requires a classifier head")
+    model.apply_freeze_policy(transfer_config)
+    params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
+    if not params:
+        raise ContractError("freeze policy leaves nothing to train")
+    return params
+
+
+def _budgets(model: SimilarityModel, params: list[Tensor], transfer_config: TransferConfig,
+             prepared: PreparedSplits, config: TrainingConfig,
+             budgets: list[int]) -> Iterator[tuple[int, TrainingHistory, dict | None]]:
+    """Train ``params`` of ``model`` in place for up to ``config.max_epochs``
+    epochs and yield ``(budget, history, checkpoint)`` for each of the
+    ascending ``budgets`` (the last is ``config.max_epochs``) as it closes:
+    after its last epoch, or when early stopping ends the run.  ``history``
+    is what a run of that many epochs records; ``checkpoint`` holds the
+    trainable tensors of its best epoch, or is None when the live model is
+    at that epoch.
+    """
+    train_pairs, dev = prepared.train.pairs, prepared.dev
+    state = AdamState(params)
+    rng = np.random.default_rng(config.seed)
+    history = TrainingHistory()
+    checkpoint = None
+    epochs_since_best = 0
+    pending = list(budgets)
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(train_pairs))
+        epoch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            with Tape() as tape:
+                loss = batch_loss(model, transfer_config, [train_pairs[i] for i in batch],
+                                  prepared.targets[batch], prepared.embed_pairs)
+            adam_step(backward(tape, loss), state, config.learning_rate)
+            epoch_losses.append(float(loss.values))
+        history.train_losses.append(float(np.mean(epoch_losses)))
+        try:
+            dev_corr = evaluate_split(model, transfer_config, dev.pairs, dev.metric,
+                                      prepared.embed_pairs)
+        except NumericError:
+            dev_corr = UNDEFINED_CORRELATION
+        history.dev_correlations.append(dev_corr)
+        if dev_corr > history.best_dev_correlation:
+            history.best_dev_correlation = dev_corr
+            history.best_epoch = epoch
+            # no budget runs past the last epoch, so the live model serves it
+            checkpoint = (model.snapshot(trainable_only=True)
+                          if epoch + 1 < config.max_epochs else None)
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+        stop = epochs_since_best >= config.patience
+        while pending and (stop or pending[0] == epoch + 1):
+            yield (pending.pop(0),
+                   replace(history, train_losses=list(history.train_losses),
+                           dev_correlations=list(history.dev_correlations)),
+                   checkpoint)
+        if stop:
+            return
+
+
 def train(model: SimilarityModel, transfer_config: TransferConfig,
           train_split: DatasetSplit, dev_split: DatasetSplit,
           training_config: TrainingConfig) -> tuple[SimilarityModel, TrainingHistory]:
@@ -215,48 +290,12 @@ def train(model: SimilarityModel, transfer_config: TransferConfig,
     predictions) counts as -1 for the early-stopping comparison and the
     run continues, so the first epoch is always a best epoch.
     """
-    if transfer_config.has_head and model.classifier is None:
-        raise ContractError(f"{transfer_config.setting} training requires a classifier head")
-    model.apply_freeze_policy(transfer_config)
-    params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
-    if not params:
-        raise ContractError("freeze policy leaves nothing to train")
-
-    prepared = PreparedSplits(model, transfer_config, train_split.pairs, dev_split.pairs)
-    state = AdamState(params)
-    rng = np.random.default_rng(training_config.seed)
-    history = TrainingHistory()
-    best_checkpoint = None
-    epochs_since_best = 0
-    for epoch in range(training_config.max_epochs):
-        order = rng.permutation(len(train_split.pairs))
-        epoch_losses = []
-        for start in range(0, len(order), training_config.batch_size):
-            batch = order[start : start + training_config.batch_size]
-            with Tape() as tape:
-                loss = batch_loss(model, transfer_config, [train_split.pairs[i] for i in batch],
-                                  prepared.targets[batch], prepared.embed_pairs)
-            adam_step(backward(tape, loss), state, training_config.learning_rate)
-            epoch_losses.append(float(loss.values))
-        history.train_losses.append(float(np.mean(epoch_losses)))
-        try:
-            dev_corr = evaluate_split(model, transfer_config, dev_split.pairs, dev_split.metric,
-                                      prepared.embed_pairs)
-        except NumericError:
-            dev_corr = UNDEFINED_CORRELATION
-        history.dev_correlations.append(dev_corr)
-        if dev_corr > history.best_dev_correlation:
-            history.best_dev_correlation = dev_corr
-            history.best_epoch = epoch
-            if epoch + 1 < training_config.max_epochs:  # the last epoch needs no copy
-                best_checkpoint = model.snapshot(trainable_only=True)
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= training_config.patience:
-                break
-    if history.best_epoch + 1 < history.epochs_run:
-        model.restore(best_checkpoint)
+    params = _trainable(model, transfer_config)
+    prepared = PreparedSplits(model, transfer_config, train_split, dev_split)
+    for _, history, checkpoint in _budgets(model, params, transfer_config, prepared,
+                                           training_config, [training_config.max_epochs]):
+        if checkpoint is not None:
+            model.restore(checkpoint)
     return model, history
 
 
@@ -302,31 +341,50 @@ class GridSearchResult:
 def grid_search(model_factory: Callable[[], SimilarityModel], transfer_config: TransferConfig,
                 train_split: DatasetSplit, dev_split: DatasetSplit,
                 grid: HyperGrid) -> GridSearchResult:
-    """Train every grid cell on a fresh identically-initialized model and
-    keep the one with the highest dev correlation.
+    """Score every grid cell and keep the one with the highest dev correlation.
 
-    Cells run in ``grid.cells()`` order, so a later cell replaces the
-    running winner only when it is better by more than ``TIE_TOLERANCE``:
-    ties go to the smaller lr, then batch, then epochs.  A losing cell's
-    model is dropped before the next cell's is built.  A cell that raises
-    ``NumericError`` is reported with its error; if every cell does, the
-    search raises.
+    The cells of one (learning rate, batch size) differ only in their epoch
+    budget and share the shuffle seed, so one run at the largest budget, on
+    a fresh model from ``model_factory`` (which must return identically
+    initialized models), trains them all, and each budget's cell is read
+    from it as the budget closes.  Cells are scored in ``grid.cells()``
+    order, so a later cell replaces the running winner only when it is
+    better by more than ``TIE_TOLERANCE``: ties go to the smaller lr, then
+    batch, then epochs.  Only the running winner's model or best-epoch
+    checkpoint is kept past its run.  A ``NumericError`` fails the cells
+    whose budget reaches the epoch that raised it; if every cell fails,
+    the search raises.
     """
-    cells: list[CellResult] = []
-    best: tuple[CellResult, SimilarityModel, TrainingHistory] | None = None
-    for cfg in grid.cells():
+    configs = grid.cells()
+    budgets = sorted(set(grid.epoch_budgets))
+    results: dict[TrainingConfig, CellResult] = {}
+    prepared = None
+    best = best_model = best_checkpoint = None  # the winner's (cell, history), model, checkpoint
+    for lr, batch_size in dict.fromkeys((c.learning_rate, c.batch_size) for c in configs):
+        config = TrainingConfig(batch_size=batch_size, learning_rate=lr, max_epochs=budgets[-1],
+                                patience=grid.patience, seed=grid.seed)
+        model = model_factory()
+        params = _trainable(model, transfer_config)
+        prepared = prepared or PreparedSplits(model, transfer_config, train_split, dev_split)
         try:
-            model, history = train(model_factory(), transfer_config, train_split, dev_split, cfg)
+            for budget, history, checkpoint in _budgets(model, params, transfer_config, prepared,
+                                                        config, budgets):
+                cell = CellResult(replace(config, max_epochs=budget), history.best_dev_correlation,
+                                  history.best_epoch, history.epochs_run)
+                results[cell.config] = cell
+                if best is None or cell.dev_correlation > best[0].dev_correlation + TIE_TOLERANCE:
+                    best, best_model, best_checkpoint = (cell, history), model, checkpoint
         except NumericError as exc:
-            cells.append(CellResult(cfg, UNDEFINED_CORRELATION, -1, 0, error=str(exc)))
-            continue
-        cell = CellResult(cfg, history.best_dev_correlation, history.best_epoch,
-                          history.epochs_run)
-        cells.append(cell)
-        if best is None or cell.dev_correlation > best[0].dev_correlation + TIE_TOLERANCE:
-            best = (cell, model, history)
-        model = history = None  # a loser must not live through the next cell
+            for budget in budgets:
+                failed = replace(config, max_epochs=budget)
+                results.setdefault(failed, CellResult(failed, UNDEFINED_CORRELATION, -1, 0,
+                                                      error=str(exc)))
+        if best_model is model and best_checkpoint is not None:
+            model.restore(best_checkpoint)  # the winner's run is over: one copy of it is enough
+            best_checkpoint = None
+        model = params = checkpoint = None  # a loser must not live through the next run
+    cells = [results[c] for c in configs]
     if best is None:
         raise NumericError("all grid cells failed: " + "; ".join(c.error for c in cells))
-    winner, best_model, best_history = best
+    winner, best_history = best
     return GridSearchResult(winner.config, best_model, best_history, cells)

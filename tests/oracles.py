@@ -6,7 +6,8 @@ paths: naive two-pass Pearson, O(n^2) counting ranks for Spearman, and a
 step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
 earlier form of a production path instead: the dense lookup adjoint,
 the character-by-character tokenizer, an FT training loop that embeds
-every batch and every dev evaluation anew with ``embed_pairs``, and the
+every batch and every dev evaluation anew with ``embed_pairs``, a grid
+search that trains every cell with its own ``train`` call, and the
 transfer-setting rules written as one test of the setting name per case.
 """
 
@@ -18,7 +19,16 @@ import numpy as np
 from simxfer.autodiff import Tape, backward, mean_over_axis
 from simxfer.errors import ContractError, NumericError
 from simxfer.metrics import correlation
-from simxfer.trainer import UNDEFINED_CORRELATION, AdamState, TrainingHistory, adam_step
+from simxfer.trainer import (
+    TIE_TOLERANCE,
+    UNDEFINED_CORRELATION,
+    AdamState,
+    CellResult,
+    GridSearchResult,
+    TrainingHistory,
+    adam_step,
+    train,
+)
 from simxfer.transfer import (
     SCORE_SLICE,
     classifier_forward,
@@ -174,6 +184,28 @@ def reference_ft_train(model, config, train_pairs, dev_pairs, metric, training_c
     for t, values in best_values.items():
         t.values = values
     return model, history
+
+
+def reference_grid_search(model_factory, transfer_config, train_split, dev_split, grid):
+    """``trainer.grid_search`` as one ``train`` call per cell, on a fresh model each.
+
+    Cells run in ``grid.cells()`` order, and a later cell replaces the
+    running winner only when it is better by more than ``TIE_TOLERANCE``.
+    """
+    cells, best = [], None
+    for cfg in grid.cells():
+        try:
+            model, history = train(model_factory(), transfer_config, train_split, dev_split, cfg)
+        except NumericError as exc:
+            cells.append(CellResult(cfg, UNDEFINED_CORRELATION, -1, 0, error=str(exc)))
+            continue
+        cells.append(CellResult(cfg, history.best_dev_correlation, history.best_epoch,
+                                history.epochs_run))
+        if best is None or cells[-1].dev_correlation > best[0].dev_correlation + TIE_TOLERANCE:
+            best = (cells[-1], model, history)
+    if best is None:
+        raise NumericError("all grid cells failed: " + "; ".join(c.error for c in cells))
+    return GridSearchResult(best[0].config, best[1], best[2], cells)
 
 
 def reference_transfer_config(setting, loss_kind=None, freeze_wem=True, norm_range=None,

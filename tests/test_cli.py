@@ -315,12 +315,12 @@ def test_grid_cells_share_a_frozen_matrix_and_copy_a_trained_one(tmp_path, monke
     assert main(["grid", "--spec", str(spec), "--out", str(tmp_path / "grid.tsv")]) == 0
     loaded = load_embeddings(FIXTURES_DIR / "wordvecs_50d.txt", 50).embedding.matrix.values
     arrays = [m.embedding.matrix.values for m in models]
-    assert len(arrays) == 4
+    assert len(arrays) == 2  # one model per (lr, batch): its run serves every epoch budget
     if frozen:
         assert all(a is arrays[0] for a in arrays)
         assert arrays[0].tobytes() == loaded.tobytes()
     else:
-        assert len({id(a) for a in arrays}) == 4
+        assert len({id(a) for a in arrays}) == 2
         assert all(a.tobytes() != loaded.tobytes() for a in arrays)
 
 
@@ -423,6 +423,32 @@ def test_transfer_keys_the_setting_does_not_use_are_spec_errors(tmp_path, capsys
     assert main([mode, "--spec", str(spec)]) == 1
     err = capsys.readouterr().err
     assert "spec error" in err and message in err
+
+
+@pytest.mark.parametrize("mode", ["eval", "grid"])
+def test_a_tab_in_the_name_is_a_spec_error(tmp_path, capsys, mode):
+    # every data path is missing, so a name checked after reading would exit 2
+    missing = str(tmp_path / "missing.tsv")
+    spec = tmp_path / "exp.spec"
+    spec.write_text(minimal_spec_text(**{
+        "name": "act\tivity", "transfer.setting": "UE" if mode == "eval" else "DNT",
+        "data.train": missing, "data.test": missing, "embeddings.path": missing}))
+    assert main([mode, "--spec", str(spec), "--out", str(tmp_path / "out.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert "spec error" in err and "must not contain a tab or line break" in err
+    assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("name", ["act\tivity", "act\rivity", "act\nivity"],
+                         ids=["tab", "CR", "LF"])
+def test_build_spec_refuses_a_name_that_would_split_a_report_line(tmp_path, name):
+    entries = parse_spec_file(write_spec(tmp_path))
+    with pytest.raises(SpecError, match="must not contain a tab or line break"):
+        build_spec({**entries, "name": name}, "exp.spec")
+    stem = tmp_path / "act\tivity.tsv"  # the default name is the train file's stem
+    with pytest.raises(SpecError, match="must not contain a tab or line break"):
+        build_spec({k: v for k, v in {**entries, "data.train": str(stem)}.items() if k != "name"},
+                   "exp.spec")
 
 
 @pytest.mark.parametrize("mode, args, overrides", [

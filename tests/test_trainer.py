@@ -7,12 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import dense_lookup_backward, reference_ft_train
+from oracles import dense_lookup_backward, reference_ft_train, reference_grid_search
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
 from simxfer import autodiff as ad
 from simxfer import trainer, transfer
 from simxfer.autodiff import Tape, Tensor, backward, matmul, subtract
+from simxfer.embeddings import EmbeddingMatrix
+from simxfer.encoders import init_encoder
 from simxfer.errors import ContractError, NumericError
 from simxfer.trainer import (
     AdamState,
@@ -278,6 +280,42 @@ def test_training_a_large_embedding_matrix_allocates_less_than_the_matrix():
     assert peak < matrix_bytes
 
 
+@pytest.mark.parametrize("learning_rates", [(0.01, 0.1), (0.1, 0.3)],
+                         ids=["second-run-wins", "first-run-wins"])
+def test_a_large_matrix_grid_holds_three_copies_of_the_matrix(learning_rates):
+    """A DNT+wem grid over a 50,000 x 20 matrix holds at most the live run's
+    matrix, one best-epoch snapshot and the running winner's model or
+    snapshot, here the first run's model while the second run trains."""
+    base = make_model(kind="word-average", dim=20, n_tokens=49_999, seed=91)
+    matrix = base.embedding.matrix.values
+
+    def factory():
+        return SimilarityModel(base.vocabulary,
+                               EmbeddingMatrix(Tensor(matrix.copy(), name="wem.matrix"), 20),
+                               base.encoder_config, init_encoder(base.encoder_config), None)
+
+    grid = HyperGrid(batch_sizes=(8,), learning_rates=learning_rates, epoch_budgets=(1, 3),
+                     patience=5, seed=9)
+    splits = (as_split("train", overlap_pairs(40, seed=93)),
+              as_split("dev", overlap_pairs(12, seed=94)))
+    tracemalloc.start()
+    try:
+        result = grid_search(factory, DNT, *splits, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first_run = [(c.dev_correlation, c.best_epoch) for c in result.cells[:2]]
+    if learning_rates == (0.01, 0.1):
+        # the first run's 3-epoch cell wins with its live model; the second run beats it
+        assert first_run[1][0] > first_run[0][0] and first_run[1][1] == 2
+        assert result.best_config.learning_rate == 0.1
+    else:
+        # the first run's 1-epoch cell wins with the snapshot of epoch 0, which is
+        # restored into the run's model when the run ends
+        assert first_run[1] == first_run[0] and result.best_config == grid.cells()[0]
+    assert peak < 3.5 * matrix.nbytes
+
+
 def test_train_rejects_ue():
     model = make_model(kind="word-average", dim=3)
     pairs = random_pairs(4, seed=1)
@@ -364,20 +402,22 @@ def test_grid_cells_ordered_for_tie_break():
 
 
 def fake_grid_search(monkeypatch, outcomes, on_train=None):
-    """Run ``grid_search`` with ``trainer.train`` replaced by a fake that gives
-    each cell, keyed by (lr, batch, epochs), a fixed dev correlation or, for
-    a string, raises ``NumericError`` with that text.  The grid is the product
-    of the keys' values; a cell without a key scores 0."""
-    def fake_train(model, transfer_config, train_split, dev_split, cfg):
+    """Run ``grid_search`` with ``trainer._budgets``, its one run per (lr,
+    batch), replaced by a fake that gives each cell, keyed by (lr, batch,
+    epochs), a fixed dev correlation or, for a string, raises
+    ``NumericError`` with that text.  The grid is the product of the keys'
+    values; a cell without a key scores 0."""
+    def fake_budgets(model, params, transfer_config, prepared, cfg, budgets):
         if on_train is not None:
             on_train(model)
-        outcome = outcomes.get((cfg.learning_rate, cfg.batch_size, cfg.max_epochs), 0.0)
-        if isinstance(outcome, str):
-            raise NumericError(outcome)
-        return model, TrainingHistory(train_losses=[0.0], dev_correlations=[outcome],
-                                      best_epoch=0, best_dev_correlation=outcome)
+        for budget in budgets:
+            outcome = outcomes.get((cfg.learning_rate, cfg.batch_size, budget), 0.0)
+            if isinstance(outcome, str):
+                raise NumericError(outcome)
+            yield budget, TrainingHistory(train_losses=[0.0], dev_correlations=[outcome],
+                                          best_epoch=0, best_dev_correlation=outcome), None
 
-    monkeypatch.setattr(trainer, "train", fake_train)
+    monkeypatch.setattr(trainer, "_budgets", fake_budgets)
     pairs = random_pairs(4, seed=1)
     grid = HyperGrid(batch_sizes=tuple({k[1] for k in outcomes}),
                      learning_rates=tuple({k[0] for k in outcomes}),
@@ -462,6 +502,52 @@ def test_grid_search_keeps_all_results_and_matches_sequential():
     assert first.best_config == second.best_config
 
 
+def _tensor_bytes(model):
+    return {name: t.values.tobytes() for name, t in model.named_tensors().items()}
+
+
+# (transfer config, model kwargs, grid, what makes the case): each case's grid
+# must hold what it is named for, so that the equality below means something
+SHARED_RUN_CASES = {
+    "DNT+wem-early-stop": (
+        DNT, {"kind": "word-average"},
+        HyperGrid((8, 16), (0.01, 0.3), (2, 4, 9), patience=2, seed=3),
+        lambda cells, best: any(c.epochs_run < c.config.max_epochs for c in cells)),
+    "FT-KL": (
+        TransferConfig("FT", loss_kind="KL", bins=5), {"kind": "word-average", "bins": 5},
+        HyperGrid((8, 16), (0.01, 0.3), (2, 4, 9), patience=2, seed=3),
+        lambda cells, best: best.max_epochs < 9),  # read from a run that went on
+    "numeric-error-mid-run": (
+        DNT, {"kind": "word-average"},
+        HyperGrid((8,), (0.01, 1.7e153), (2, 3, 6), patience=8, seed=3),
+        lambda cells, best: ([c.error is None for c in cells[3:]] == [True, True, False]
+                             and best.learning_rate == 1.7e153)),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_RUN_CASES)
+def test_grid_search_equals_one_train_call_per_cell(case):
+    """One run per (lr, batch) gives bitwise the cells, winner, history and
+    model that training every cell on its own gives: early stopping cuts a
+    shorter budget short, a winner can be read from a run that goes on, and a
+    numeric error fails only the budgets that reach its epoch."""
+    transfer_config, kwargs, grid, holds = SHARED_RUN_CASES[case]
+    splits = (as_split("train", overlap_pairs(40, seed=11)),
+              as_split("dev", overlap_pairs(12, seed=12)))
+
+    def factory():
+        return make_model(dim=4, n_tokens=24, seed=13, **kwargs)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = grid_search(factory, transfer_config, *splits, grid)
+        want = reference_grid_search(factory, transfer_config, *splits, grid)
+    assert holds(got.cells, got.best_config)
+    assert got.cells == want.cells
+    assert got.best_config == want.best_config
+    assert got.best_history == want.best_history
+    assert _tensor_bytes(got.best_model) == _tensor_bytes(want.best_model)
+
+
 # --- splits prepared once per train call ------------------------------------------
 
 
@@ -492,7 +578,8 @@ def test_ft_train_equals_a_loop_that_embeds_every_batch(loss_kind):
 def test_train_tokenizes_each_distinct_sentence_once_per_call(config, monkeypatch):
     """However many epochs and batches, a ``train`` call tokenizes each distinct
     train and dev sentence once; a second call on the same vocabulary indexes
-    its splits again (nothing is cached across calls) and adds no token."""
+    its splits again (nothing is cached across calls) and adds no token.  A
+    ``grid_search`` call, however many runs it makes, also tokenizes once."""
     calls = collections.Counter()
     tokenize = transfer.tokenize
 
@@ -513,4 +600,11 @@ def test_train_tokenizes_each_distinct_sentence_once_per_call(config, monkeypatc
                            as_split("dev", dev_pairs), cfg)
         assert history.epochs_run == max_epochs
         assert calls == collections.Counter(distinct)
+    calls.clear()
+    grid = HyperGrid(batch_sizes=(4, 16), learning_rates=(0.01, 0.1), epoch_budgets=(1, 2),
+                     patience=5, seed=1)
+    result = grid_search(lambda: model, config, as_split("train", train_pairs),
+                         as_split("dev", dev_pairs), grid)
+    assert len(result.cells) == 8
+    assert calls == collections.Counter(distinct)
     assert model.vocabulary.index == index
