@@ -21,7 +21,10 @@ Primitives act on a leading batch axis: ``add``, ``subtract`` and
 ``elementwise_multiply`` broadcast (a bias vector against a batch of rows),
 ``softmax`` and ``cosine`` work along the last axis, and ``concat``,
 ``stack``, ``select_row`` and the axis reductions accept any rank.  So one
-graph serves one vector or a whole batch of rows.
+graph serves one vector or a whole batch of rows.  ``bilstm`` is one node
+for a whole bidirectional LSTM over T x d or T x n x d token vectors; its
+kernels hold the recurrence and its backpropagation through time, with
+the arithmetic of the same LSTM built from the other primitives.
 """
 
 from __future__ import annotations
@@ -169,8 +172,8 @@ def _fwd_matmul(values, attrs):
     return np.matmul(a, b), {}
 
 
-def _bwd_matmul(node, g):
-    a, b = (t.values for t in node.inputs)
+def _matmul_adjoints(a, b, g):
+    """Adjoints of ``a @ b`` for 1-D or 2-D operands, given the output adjoint ``g``."""
     if a.ndim == 1 and b.ndim == 1:  # dot -> scalar
         return g * b, g * a
     if a.ndim == 2 and b.ndim == 1:  # (m,n)@(n,) -> (m,)
@@ -178,6 +181,10 @@ def _bwd_matmul(node, g):
     if a.ndim == 1 and b.ndim == 2:  # (n,)@(n,p) -> (p,)
         return b @ g, np.outer(a, g)
     return g @ b.T, a.T @ g
+
+
+def _bwd_matmul(node, g):
+    return _matmul_adjoints(*(t.values for t in node.inputs), g)
 
 
 def _bwd_add(node, g):
@@ -199,10 +206,13 @@ def _bwd_absolute(node, g):
     return (g * np.sign(node.inputs[0].values),)
 
 
-def _fwd_sigmoid(values, attrs):
-    (a,) = values
+def _sigmoid(a: np.ndarray) -> np.ndarray:
     # clamp keeps exp within float64 range; saturation is unaffected
-    return 1.0 / (1.0 + np.exp(-np.clip(a, -709.0, 709.0))), {}
+    return 1.0 / (1.0 + np.exp(-np.clip(a, -709.0, 709.0)))
+
+
+def _fwd_sigmoid(values, attrs):
+    return _sigmoid(values[0]), {}
 
 
 def _bwd_sigmoid(node, g):
@@ -353,6 +363,94 @@ def _bwd_cosine(node, g):
     return g * gu, g * gv
 
 
+# bilstm: one length group's bidirectional LSTM recurrence as one node.  Each
+# direction's 12 tensors are W (h x d), U (h x h) and b (h) of the input,
+# forget and output gates and the candidate, in that order.  The forward pass
+# runs, per gate and step, the numpy operations of the same LSTM built gate by
+# gate from the other primitives (``tests/oracles.py::tape_bilstm_states``:
+# transposes, matmul, add, sigmoid/tanh, multiply) in its order; the backward
+# pass adds every adjoint in the order that graph's reverse walk adds it.  So
+# both are bitwise those of the gate-by-gate graph, save that a bias read by
+# several bilstm nodes gets one partial sum per node, where that graph kept
+# one running sum over all of them.
+
+
+def _fwd_bilstm(values, attrs):
+    # C-contiguous steps, so each step's matmuls take the BLAS path they take on a row copy
+    tokens, params = np.ascontiguousarray(values[0]), values[1:]
+    h = params[8].shape[0] if len(params) == 24 and params[8].ndim == 1 else None
+    d = tokens.shape[-1] if tokens.ndim in (2, 3) and len(tokens) else None
+    shapes = [p.shape for p in params]
+    if shapes != ([(h, d)] * 4 + [(h, h)] * 4 + [(h,)] * 4) * 2:
+        raise ShapeError("bilstm", tokens.shape, *dict.fromkeys(shapes),
+                         detail="tokens T x d or T x n x d with T >= 1; per direction "
+                                "4 W of h x d, 4 U of h x h, 4 b of h")
+    xs = list(tokens)
+    fw = _lstm_steps(xs, params[:12])
+    bw = _lstm_steps(xs[::-1], params[12:])
+    states = (np.stack([step[-1] for step in fw]), np.stack([step[-1] for step in bw[::-1]]))
+    return np.concatenate(states, axis=-1), {"fw": fw, "bw": bw}
+
+
+def _lstm_steps(xs, params):
+    """One direction over the step inputs ``xs`` in order, from a zero state:
+    per step (x, h_prev, c_prev, i, f, o, g, tanh c, h)."""
+    w, u, b = params[:4], params[4:8], params[8:]
+    h = np.zeros(xs[0].shape[:-1] + u[0].shape[:1])
+    c = np.zeros(h.shape)
+    steps = []
+    for x in xs:
+        pre = [(x @ wk.T + h @ uk.T) + bk for wk, uk, bk in zip(w, u, b)]
+        i, f, o = (_sigmoid(p) for p in pre[:3])
+        g = np.tanh(pre[3])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        h_new = o * tc
+        steps.append((x, h, c, i, f, o, g, tc, h_new))
+        h, c = h_new, c_new
+    return steps
+
+
+def _lstm_steps_backward(steps, params, g_out, dxs):
+    """One direction's 12 tensor adjoints from its per-step state adjoints
+    ``g_out``; adds each step input's adjoint into ``dxs`` (None = none yet)."""
+    w, u, b = params[:4], params[4:8], params[8:]
+    dw, du, db = [None] * 4, [None] * 4, [None] * 4
+    dh, dc = g_out[-1], None
+    for s in range(len(steps) - 1, -1, -1):
+        x, h_prev, c_prev, i, f, o, g, tc, _ = steps[s]
+        dc_tanh = dh * o * (1.0 - tc * tc)
+        dc = dc_tanh if dc is None else dc + dc_tanh
+        d_pre = (dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g))
+        dh = g_out[s - 1] if s else None  # the zero initial state gets no adjoint
+        for k in (3, 2, 1, 0):  # candidate first: the reverse of recording order
+            dp = d_pre[k]
+            db_k = _unbroadcast(dp, b[k].shape)
+            dh_k, du_k = _matmul_adjoints(h_prev, u[k].T, dp)
+            dx_k, dw_k = _matmul_adjoints(x, w[k].T, dp)
+            db[k] = db_k if db[k] is None else db[k] + db_k
+            du[k] = du_k if du[k] is None else du[k] + du_k
+            dw[k] = dw_k if dw[k] is None else dw[k] + dw_k
+            dxs[s] = dx_k if dxs[s] is None else dxs[s] + dx_k
+            if dh is not None:
+                dh = dh + dh_k
+        dc = dc * f
+    return [m.T for m in dw] + [m.T for m in du] + db
+
+
+def _bwd_bilstm(node, g):
+    params = [t.values for t in node.inputs[1:]]
+    h = params[4].shape[0]
+    dxs = [None] * len(node.saved["fw"])
+    # the gate-by-gate graph records the backward direction last, so its
+    # reverse walk reaches it first
+    grads_bw = _lstm_steps_backward(node.saved["bw"], params[12:], g[..., h:][::-1], dxs)
+    dxs.reverse()
+    grads_fw = _lstm_steps_backward(node.saved["fw"], params[:12], g[..., :h], dxs)
+    return (np.stack(dxs), *grads_fw, *grads_bw)
+
+
 _KERNELS: dict[str, tuple[Callable, Callable]] = {  # kind -> (forward, backward)
     "matmul": (_fwd_matmul, _bwd_matmul),
     "add": (_numpy_kernel("add", np.add), _bwd_add),
@@ -373,6 +471,7 @@ _KERNELS: dict[str, tuple[Callable, Callable]] = {  # kind -> (forward, backward
     "scale": (_numpy_kernel("scale", lambda a, factor: a * factor), _bwd_scale),
     "log": (_fwd_log, _bwd_log),
     "cosine": (_fwd_cosine, _bwd_cosine),
+    "bilstm": (_fwd_bilstm, _bwd_bilstm),
 }
 
 
@@ -473,6 +572,19 @@ def cosine(u, v) -> Tensor:
     training.
     """
     return _apply("cosine", (u, v))
+
+
+def bilstm(tokens, forward: Sequence[Tensor], backward: Sequence[Tensor]) -> Tensor:
+    """Per-step states [forward; backward] of a bidirectional LSTM.
+
+    ``tokens`` is T x d (one sentence) or T x n x d (n sentences of equal
+    length).  ``forward`` and ``backward`` are each direction's 12 tensors:
+    W (h x d), U (h x h) and b (h) of the input, forget and output gates
+    (sigmoid) and the candidate (tanh), in that order.  Returns T x 2h or
+    T x n x 2h: step t holds the forward state after reading tokens 0..t
+    and the backward state after reading tokens T-1 down to t.
+    """
+    return _apply("bilstm", (tokens, *forward, *backward))
 
 
 def _add_adjoints(a, b):

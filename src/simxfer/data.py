@@ -1,6 +1,7 @@
 """Similarity-pair dataset parsing, score-range metadata, split management.
 
-Three file formats (``FORMATS``), all UTF-8 text with LF or CRLF endings:
+Three file formats (``FORMATS``), all UTF-8 text whose lines end at LF,
+CRLF or a lone CR; no other character ends a line:
 
 * ``sts_benchmark``: tab-separated, score in column 5 (1-indexed),
   sentences in columns 6 and 7, extra trailing columns ignored.
@@ -71,8 +72,8 @@ class LoadResult:
 
 def _read_lines(path) -> list[str]:
     try:
-        with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
-            return handle.read().splitlines()
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            return [line.rstrip("\n") for line in handle]  # universal newlines
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
 

@@ -8,7 +8,9 @@ forget and output gates via sigmoid, candidate via tanh, hidden state =
 output gate * tanh(cell state).
 
 ``encode`` takes one sentence (T x d) or a batch of n sentences of equal
-length (T x n x d); a batch is encoded with one set of nodes per step.
+length (T x n x d); a BiLSTM encodes it as one ``bilstm`` node, whose
+kernel runs both directions' recurrence and its hand-written backward
+pass, and one pooling node.
 """
 
 from __future__ import annotations
@@ -17,20 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    concat,
-    elementwise_multiply,
-    matmul,
-    max_over_axis,
-    mean_over_axis,
-    select_row,
-    sigmoid,
-    stack,
-    tanh,
-    transpose,
-)
+from .autodiff import Tensor, bilstm, max_over_axis, mean_over_axis
 from .errors import ContractError, DataError
 
 ENCODER_KINDS = ("word-average", "bilstm-avg", "bilstm-max")
@@ -69,7 +58,8 @@ class LstmDirection:
     b: dict[str, Tensor]  # biases, h
 
     def tensors(self) -> list[Tensor]:
-        return [*self.w.values(), *self.u.values(), *self.b.values()]
+        """W, U and b, each in ``GATES`` order: the order ``bilstm`` takes them in."""
+        return [part[gate] for part in (self.w, self.u, self.b) for gate in GATES]
 
 
 @dataclass
@@ -116,24 +106,6 @@ def init_encoder(config: EncoderConfig) -> EncoderParameters:
     )
 
 
-def _lstm_states(direction: LstmDirection, steps: list[Tensor], h: int) -> list[Tensor]:
-    w = {gate: transpose(direction.w[gate]) for gate in GATES}
-    u = {gate: transpose(direction.u[gate]) for gate in GATES}
-    hidden = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
-    cell = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
-    states = []
-    for x in steps:
-        gates = {}
-        for gate in GATES:
-            pre = add(add(matmul(x, w[gate]), matmul(hidden, u[gate])), direction.b[gate])
-            gates[gate] = tanh(pre) if gate == "candidate" else sigmoid(pre)
-        cell = add(elementwise_multiply(gates["forget"], cell),
-                   elementwise_multiply(gates["input"], gates["candidate"]))
-        hidden = elementwise_multiply(gates["output"], tanh(cell))
-        states.append(hidden)
-    return states
-
-
 def encode(params: EncoderParameters, config: EncoderConfig, token_vectors: Tensor) -> Tensor:
     """Encode a T x d token-vector matrix into one embedding vector, or a
     T x n x d batch of n equal-length sentences into an n x e matrix."""
@@ -146,10 +118,7 @@ def encode(params: EncoderParameters, config: EncoderConfig, token_vectors: Tens
         return mean_over_axis(token_vectors, axis=0)
     if params.forward is None or params.backward is None:
         raise ContractError(f"{config.kind} requires initialized parameters")
-    rows = [select_row(token_vectors, t) for t in range(n_steps)]
-    fwd = _lstm_states(params.forward, rows, config.hidden_dim)
-    bwd = list(reversed(_lstm_states(params.backward, rows[::-1], config.hidden_dim)))
-    per_step = concat((stack(fwd), stack(bwd)))
+    per_step = bilstm(token_vectors, params.forward.tensors(), params.backward.tensors())
     if config.kind == "bilstm-avg":
         return mean_over_axis(per_step, axis=0)
     return max_over_axis(per_step, axis=0)

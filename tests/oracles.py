@@ -4,7 +4,9 @@ These are deliberately written without the package's tape machinery or
 vectorized shortcuts, so they can serve as oracles for the production
 paths: naive two-pass Pearson, O(n^2) counting ranks for Spearman, and a
 step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
-earlier form of a production path instead: the dense lookup adjoint,
+earlier form of a production path instead: the BiLSTM recorded gate by
+gate on the tape (the arithmetic the fused ``bilstm`` kernel reproduces),
+the dense lookup adjoint,
 the character-by-character tokenizer, an FT training loop that embeds
 every batch and every dev evaluation anew with ``embed_pairs``, a grid
 search that trains every cell with its own ``train`` call, and the
@@ -16,7 +18,23 @@ import string
 
 import numpy as np
 
-from simxfer.autodiff import Tape, backward, mean_over_axis
+from simxfer.autodiff import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    concat,
+    elementwise_multiply,
+    matmul,
+    max_over_axis,
+    mean_over_axis,
+    select_row,
+    sigmoid,
+    stack,
+    tanh,
+    transpose,
+)
+from simxfer.encoders import GATES
 from simxfer.errors import ContractError, NumericError
 from simxfer.metrics import correlation
 from simxfer.trainer import (
@@ -104,6 +122,42 @@ def bilstm_reference_embedding(direction_params, token_vectors, pooling):
     if pooling == "avg":
         return per_step.mean(axis=0)
     return per_step.max(axis=0)
+
+
+def _tape_lstm_states(direction, steps, h):
+    w = {gate: transpose(direction.w[gate]) for gate in GATES}
+    u = {gate: transpose(direction.u[gate]) for gate in GATES}
+    hidden = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
+    cell = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
+    states = []
+    for x in steps:
+        gates = {}
+        for gate in GATES:
+            pre = add(add(matmul(x, w[gate]), matmul(hidden, u[gate])), direction.b[gate])
+            gates[gate] = tanh(pre) if gate == "candidate" else sigmoid(pre)
+        cell = add(elementwise_multiply(gates["forget"], cell),
+                   elementwise_multiply(gates["input"], gates["candidate"]))
+        hidden = elementwise_multiply(gates["output"], tanh(cell))
+        states.append(hidden)
+    return states
+
+
+def tape_bilstm_states(params, token_vectors, hidden_dim):
+    """The T x (n x) 2h per-step states of ``bilstm``, recorded gate by gate:
+    a ``select_row`` per step, matmul/add/sigmoid/tanh nodes per gate and
+    step, and ``stack`` and ``concat`` around the two directions."""
+    rows = [select_row(token_vectors, t) for t in range(token_vectors.shape[0])]
+    fwd = _tape_lstm_states(params.forward, rows, hidden_dim)
+    bwd = list(reversed(_tape_lstm_states(params.backward, rows[::-1], hidden_dim)))
+    return concat((stack(fwd), stack(bwd)))
+
+
+def tape_encode(params, config, token_vectors):
+    """``encoders.encode`` for a BiLSTM over ``tape_bilstm_states``."""
+    per_step = tape_bilstm_states(params, token_vectors, config.hidden_dim)
+    if config.kind == "bilstm-avg":
+        return mean_over_axis(per_step, axis=0)
+    return max_over_axis(per_step, axis=0)
 
 
 def dense_lookup_backward(node, g):

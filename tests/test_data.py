@@ -21,6 +21,29 @@ def write(tmp_path, text, name="data.tsv"):
     return path
 
 
+# sentences holding characters that str.splitlines() breaks at but that
+# tokenize reads as whitespace
+SEPARATED = ("a\u2028man\fcooks", "a\u2029man\vis\x85cooking\x1cnow\x1d\x1e")
+
+
+@pytest.mark.parametrize("load,header,layout", [
+    (lambda path: load_generic_tsv(path, 0.0, 5.0), None, lambda y, a, b: [y, a, b]),
+    (load_sts_benchmark, None, lambda y, a, b: ["main-captions", "MSRvid", "2012", "1", y, a, b]),
+    (load_sick, "pair_ID\tsentence_A\tsentence_B\trelatedness_score",
+     lambda y, a, b: ["1", a, b, y]),
+], ids=["generic", "sts_benchmark", "sick"])
+def test_lines_end_only_at_lf_crlf_or_cr(tmp_path, load, header, layout):
+    rows = [("1", "the cat", "a dog"), ("2", *SEPARATED), ("3", "a dog", "the cat")]
+    lines = ([header] if header else []) + ["\t".join(layout(*row)) for row in rows]
+    text = "".join(line + end for line, end in zip(lines, ["\n", "\r\n", "\r", "\n"]))
+    path = tmp_path / "data.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    result = load(path)
+    assert result.warnings == 0
+    assert [(p.score, p.sentence_a, p.sentence_b) for p in result.pairs] == [
+        (float(y), a, b) for y, a, b in rows]
+
+
 def test_sts_benchmark_column_extraction(tmp_path):
     result = load_sts_benchmark(write(tmp_path, STS_LINE + "\n"))
     [pair] = result.pairs

@@ -1,14 +1,37 @@
 """Tests for the sentence encoders, checked against a from-scratch
-numpy recurrence oracle that never touches the tape machinery."""
+numpy recurrence oracle that never touches the tape machinery, and the
+fused ``bilstm`` node against the gate-by-gate graph it replaces."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import bilstm_reference_embedding, lstm_reference_states
+from conftest import FIXTURES_DIR
+from oracles import (
+    bilstm_reference_embedding,
+    lstm_reference_states,
+    tape_bilstm_states,
+    tape_encode,
+)
 
-from simxfer.autodiff import Tape, Tensor, backward
+from simxfer import transfer
+from simxfer.autodiff import (
+    Tape,
+    Tensor,
+    backward,
+    bilstm,
+    dense,
+    lookup_rows,
+    matmul,
+    mean_over_axis,
+)
+from simxfer.data import load_generic_tsv
+from simxfer.embeddings import load_embeddings
 from simxfer.encoders import EncoderConfig, encode, init_encoder
-from simxfer.errors import ContractError
+from simxfer.errors import ContractError, ShapeError
+from simxfer.trainer import batch_loss
+from simxfer.transfer import SimilarityModel, TransferConfig, index_sentences
 
 
 def direction_arrays(direction):
@@ -150,3 +173,98 @@ def test_invalid_configs_rejected():
 def test_output_dims():
     assert EncoderConfig("word-average", input_dim=7).output_dim == 7
     assert EncoderConfig("bilstm-avg", input_dim=7, hidden_dim=5).output_dim == 10
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 2, 5)], ids=["T x d", "T x n x d"])
+def test_token_width_other_than_input_dim_is_a_shape_error(shape):
+    config = EncoderConfig("bilstm-avg", input_dim=4, hidden_dim=3, seed=1)
+    with Tape():
+        with pytest.raises(ShapeError):
+            encode(init_encoder(config), config, Tensor(np.ones(shape)))
+
+
+# --- the fused bilstm node against the gate-by-gate graph (tests/oracles.py) ---
+
+
+def _probe_loss(pooled, probe):
+    """A scalar that reads every pooled coordinate of one sentence or a batch."""
+    if pooled.values.ndim == 2:
+        pooled = mean_over_axis(pooled, axis=0)
+    return matmul(probe, pooled)
+
+
+@pytest.mark.parametrize("kind", ["bilstm-avg", "bilstm-max"])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["T x d", "T x n x d"])
+def test_fused_bilstm_is_bitwise_the_gate_by_gate_graph_on_one_length_group(kind, batch):
+    config = EncoderConfig(kind, input_dim=4, hidden_dim=5, seed=3)
+    params = init_encoder(config)
+    rng = np.random.default_rng(12)
+    wem = Tensor(rng.normal(size=(9, 4)), trainable=True)
+    ids = rng.integers(0, 9, size=(6, *batch))
+    probe = Tensor(rng.normal(size=config.output_dim))
+
+    def run(encoder):
+        with Tape() as tape:
+            loss = _probe_loss(encoder(params, config, lookup_rows(wem, ids)), probe)
+        return loss, backward(tape, loss)
+
+    tokens = lookup_rows(wem, ids)
+    fused = bilstm(tokens, params.forward.tensors(), params.backward.tensors())
+    reference = tape_bilstm_states(params, tokens, config.hidden_dim)
+    assert fused.values.tobytes() == reference.values.tobytes()
+    (loss, grads), (want_loss, want) = run(encode), run(tape_encode)
+    assert loss.values.tobytes() == want_loss.values.tobytes()
+    assert set(grads) == set(want) == {wem, *params.tensors()}
+    for t in want:
+        assert dense(grads[t]).tobytes() == dense(want[t]).tobytes(), t.name
+
+
+@pytest.fixture(scope="module")
+def fixture_batch():
+    """The word vectors and a 32-pair batch of the fixture pairs."""
+    emb = load_embeddings(FIXTURES_DIR / "wordvecs_50d.txt", 50)
+    return emb, load_generic_tsv(FIXTURES_DIR / "activity_pairs.tsv", 0, 5).pairs[:32]
+
+
+def _dnt_batch(fixture_batch, kind, freeze_wem, encoder):
+    """Nodes and gradients of one DNT batch loss, ``encoder`` standing in for ``encode``."""
+    emb, pairs = fixture_batch
+    config = EncoderConfig(kind, input_dim=50, hidden_dim=8, seed=7)
+    model = SimilarityModel(emb.vocabulary, emb.embedding, config, init_encoder(config))
+    dnt = TransferConfig("DNT", norm_range=(0.0, 1.0), freeze_wem=freeze_wem)
+    model.apply_freeze_policy(dnt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transfer, "encode", encoder)
+        with Tape() as tape:
+            loss = batch_loss(model, dnt, pairs)
+    return tape.nodes, {t.name: dense(g) for t, g in backward(tape, loss).items()}
+
+
+@pytest.mark.parametrize("kind", ["bilstm-avg", "bilstm-max"])
+def test_fused_bilstm_matches_the_gate_by_gate_graph_across_length_groups(fixture_batch, kind):
+    """Bitwise but for the biases: the gate-by-gate graph summed each bias
+    over all length groups in one running sum, the fused nodes hand it one
+    sum per group, so the bias gradients may differ in the last places."""
+    nodes, grads = _dnt_batch(fixture_batch, kind, False, encode)
+    _, want = _dnt_batch(fixture_batch, kind, False, tape_encode)
+    assert Counter(node.kind for node in nodes)["bilstm"] > 1
+    assert set(grads) == set(want) and len(want) == 25
+    for name, g in want.items():
+        if ".b_" in name:
+            assert np.all(np.abs(grads[name] - g) <= 4 * np.spacing(np.abs(g).max())), name
+        else:
+            assert grads[name].tobytes() == g.tobytes(), name
+
+
+def test_dnt_batch_records_a_few_nodes_per_length_group(fixture_batch):
+    """One bilstm and no gate nodes per length group (23 nodes for the
+    fixture batch, where the gate-by-gate graph records 1,133)."""
+    nodes, _ = _dnt_batch(fixture_batch, "bilstm-avg", True, encode)
+    emb, pairs = fixture_batch
+    ids = index_sentences(emb.vocabulary,
+                          [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs])
+    groups = len({len(tokens) for tokens in ids.values()})
+    kinds = Counter(node.kind for node in nodes)
+    assert kinds["bilstm"] == groups > 1
+    assert kinds["sigmoid"] == kinds["tanh"] == 0
+    assert len(nodes) <= 3 * groups + 8
