@@ -37,7 +37,6 @@ from .transfer import (
     TransferConfig,
     classifier_forward,
     dnt_loss,
-    embed_sentences,
     ft_loss,
     init_classifier,
     normalize_score,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import read_lines
 from .errors import DataError
 
 FORMAT_HEADER = "simxfer-checkpoint 1"
@@ -29,11 +30,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
+    lines = read_lines(path, "checkpoint")
     if not lines or lines[0] != FORMAT_HEADER:
         raise DataError(f"{path}: not a checkpoint file (missing '{FORMAT_HEADER}' header)")
     tensors: dict[str, np.ndarray] = {}

@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .data import FIXED_RANGES, FORMATS, DatasetSplit, checked_range, load_pairs, split_dataset
+from .data import (FIXED_RANGES, FORMATS, DatasetSplit, checked_range, load_pairs, read_lines,
+                   split_dataset)
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .encoders import EncoderConfig, init_encoder
 from .errors import ContractError, DataError, NumericError, ShapeError, SimxferError, SpecError
@@ -68,11 +69,7 @@ _KNOWN_KEYS = {
 
 
 def parse_spec_file(path) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot open spec file {path}: {exc}") from exc
+    lines = read_lines(path, "spec file", SpecError)
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,11 +270,7 @@ def write_report(report: ExperimentReport, path) -> None:
 
 
 def parse_report(path) -> ExperimentReport:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot open report {path}: {exc}") from exc
+    lines = read_lines(path, "report")
     if not lines or lines[0] != REPORT_HEADER:
         raise DataError(f"{path}: not a report file (missing '{REPORT_HEADER}')")
     fields: dict[str, str] = {}

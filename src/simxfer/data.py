@@ -70,12 +70,15 @@ class LoadResult:
     warnings: int
 
 
-def _read_lines(path) -> list[str]:
+def read_lines(path, what: str, error: type[Exception] = DataError,
+               errors: str = "strict") -> list[str]:
+    """The lines of a UTF-8 text file, ended only by LF, CRLF or a lone CR (not by
+    U+2028, a form feed and the like); ``error`` if it cannot be opened or decoded."""
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        with open(path, "r", encoding="utf-8", errors=errors) as handle:
             return [line.rstrip("\n") for line in handle]  # universal newlines
-    except OSError as exc:
-        raise DataError(f"cannot open dataset file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot open {what} {path}: {exc}") from exc
 
 
 def _parse_lines(path, lines: list[str], columns: tuple[int, int, int], width: int,
@@ -120,12 +123,13 @@ def checked_range(lo, hi) -> tuple[float, float]:
 
 def load_sts_benchmark(path) -> LoadResult:
     """Parse an STS-Benchmark export; scores are annotated on a 0..5 scale."""
-    return _parse_lines(path, _read_lines(path), (4, 5, 6), 7, FIXED_RANGES["sts_benchmark"])
+    lines = read_lines(path, "dataset file", errors="replace")
+    return _parse_lines(path, lines, (4, 5, 6), 7, FIXED_RANGES["sts_benchmark"])
 
 
 def load_sick(path) -> LoadResult:
     """Parse a SICK relatedness export; header-keyed, scores on 1..5."""
-    lines = _read_lines(path)
+    lines = read_lines(path, "dataset file", errors="replace")
     if not lines:
         raise DataError(f"dataset file {path} is empty")
     header = lines[0].split("\t")
@@ -141,7 +145,8 @@ def load_sick(path) -> LoadResult:
 def load_generic_tsv(path, lo: float, hi: float) -> LoadResult:
     """Parse ``score TAB sentence_a TAB sentence_b`` lines with range (lo, hi)."""
     score_range = checked_range(lo, hi)
-    return _parse_lines(path, _read_lines(path), (0, 1, 2), 3, score_range)
+    lines = read_lines(path, "dataset file", errors="replace")
+    return _parse_lines(path, lines, (0, 1, 2), 3, score_range)
 
 
 def load_pairs(path, data_format: str, score_range: tuple[float, float]) -> LoadResult:

@@ -1,10 +1,8 @@
 """Adam optimization, batching, early stopping, and grid search.
 
-A ``train`` or ``grid_search`` call prepares its splits once: it indexes
-each distinct train and dev sentence and makes each train pair's target,
-and under FT, whose embeddings are fixed features, it embeds each
-distinct sentence into a table whose rows batches and dev scoring
-gather.  Then per epoch:
+A ``train`` or ``grid_search`` call prepares its splits once: one
+``PairTable`` over the train and dev pairs (under FT, with every
+sentence's fixed embedding) and each train pair's target.  Then per epoch:
 seeded shuffle, fixed-size batches (the last partial batch is kept), one
 tape per batch, loss per setting, ``backward``, whose returned gradients
 feed the Adam step.  A batch is embedded and scored as a whole, through
@@ -46,14 +44,13 @@ from .data import DatasetSplit, ScoredPair
 from .errors import ContractError, NumericError
 from .metrics import correlation
 from .transfer import (
+    PairTable,
     SimilarityModel,
     TransferConfig,
     classifier_forward,
     dnt_loss,
     embed_pairs,
-    embed_sentences,
     ft_loss,
-    index_sentences,
     pair_targets,
     predict_pairs,
     trainable_parameter_sets,
@@ -174,46 +171,37 @@ class TrainingHistory:
         return len(self.train_losses)
 
 
-def batch_loss(model: SimilarityModel, config: TransferConfig, pairs: list[ScoredPair],
-               targets: np.ndarray | None = None, embed: Callable = embed_pairs) -> Tensor:
-    """Batch training loss (mean over the m pairs), recorded on the open tape;
-    ``targets`` and ``embed`` default to ``pair_targets`` and ``embed_pairs``."""
-    targets = pair_targets(config, pairs) if targets is None else targets
-    h_left, h_right = embed(model, pairs)
+def batch_loss(model: SimilarityModel, config: TransferConfig,
+               pairs: list[ScoredPair] | PairTable, targets: np.ndarray | None = None) -> Tensor:
+    """Batch training loss (mean over the m pairs), recorded on the open tape, of a
+    ``PairTable`` with its ``targets`` or of a list of pairs with ``pair_targets``."""
+    if not isinstance(pairs, PairTable):
+        pairs, targets = PairTable(model, pairs), pair_targets(config, pairs)
+    h_left, h_right = embed_pairs(model, pairs)
     if not config.has_head:
         return dnt_loss(cosine(h_left, h_right), targets, norm_range=config.norm_range)
     p_hat, _ = classifier_forward(h_left, h_right, model.classifier)
     return mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
 
 
-def evaluate_split(model: SimilarityModel, config: TransferConfig, pairs: list[ScoredPair],
-                   metric: str, embed: Callable = embed_pairs) -> float:
+def evaluate_split(model: SimilarityModel, config: TransferConfig,
+                   pairs: list[ScoredPair] | PairTable, metric: str) -> float:
     """Correlation of raw predictions against raw annotated scores."""
-    predictions = predict_pairs(config, model, pairs, embed)
-    return correlation(metric, predictions, [pair.score for pair in pairs]).coefficient
+    table = pairs if isinstance(pairs, PairTable) else PairTable(model, pairs)
+    return correlation(metric, predict_pairs(config, model, table), table.scores).coefficient
 
 
 class PreparedSplits:
-    """What training reads of its splits, made once per ``train`` or
-    ``grid_search`` call (see the module docstring)."""
+    """What training reads of its splits, made once per ``train`` or ``grid_search``
+    call: the train and dev slices of one ``PairTable``, the train targets, the dev metric."""
 
     def __init__(self, model: SimilarityModel, config: TransferConfig,
                  train_split: DatasetSplit, dev_split: DatasetSplit):
-        self.train, self.dev = train_split, dev_split
-        self.ids = index_sentences(model.vocabulary, (
-            text for p in (*train_split.pairs, *dev_split.pairs)
-            for text in (p.sentence_a, p.sentence_b)))
+        table = PairTable(model, [*train_split.pairs, *dev_split.pairs],
+                          fixed=not trainable_parameter_sets(config) & {"wem", "enc"})
+        n = len(train_split.pairs)
+        self.train, self.dev, self.metric = table[:n], table[n:], dev_split.metric
         self.targets = pair_targets(config, train_split.pairs)
-        frozen = not trainable_parameter_sets(config) & {"wem", "enc"}  # FT: fixed features
-        self.features = embed_sentences(model, list(self.ids), self.ids).values if frozen else None
-        self.rows = {text: i for i, text in enumerate(self.ids)} if frozen else None
-
-    def embed_pairs(self, model: SimilarityModel, pairs: list[ScoredPair]) -> tuple[Tensor, Tensor]:
-        """``embed_pairs`` from the prepared ids, or rows gathered from the table."""
-        if self.features is None:
-            return embed_pairs(model, pairs, self.ids)
-        return (Tensor(self.features[[self.rows[p.sentence_a] for p in pairs]]),
-                Tensor(self.features[[self.rows[p.sentence_b] for p in pairs]]))
 
 
 def _trainable(model: SimilarityModel, transfer_config: TransferConfig) -> list[Tensor]:
@@ -238,7 +226,6 @@ def _budgets(model: SimilarityModel, params: list[Tensor], transfer_config: Tran
     trainable tensors of its best epoch, or is None when the live model is
     at that epoch.
     """
-    train_pairs, dev = prepared.train.pairs, prepared.dev
     state = AdamState(params)
     rng = np.random.default_rng(config.seed)
     history = TrainingHistory()
@@ -246,19 +233,18 @@ def _budgets(model: SimilarityModel, params: list[Tensor], transfer_config: Tran
     epochs_since_best = 0
     pending = list(budgets)
     for epoch in range(config.max_epochs):
-        order = rng.permutation(len(train_pairs))
+        order = rng.permutation(len(prepared.train.left))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             with Tape() as tape:
-                loss = batch_loss(model, transfer_config, [train_pairs[i] for i in batch],
-                                  prepared.targets[batch], prepared.embed_pairs)
+                loss = batch_loss(model, transfer_config, prepared.train[batch],
+                                  prepared.targets[batch])
             adam_step(backward(tape, loss), state, config.learning_rate)
             epoch_losses.append(float(loss.values))
         history.train_losses.append(float(np.mean(epoch_losses)))
         try:
-            dev_corr = evaluate_split(model, transfer_config, dev.pairs, dev.metric,
-                                      prepared.embed_pairs)
+            dev_corr = evaluate_split(model, transfer_config, prepared.dev, prepared.metric)
         except NumericError:
             dev_corr = UNDEFINED_CORRELATION
         history.dev_correlations.append(dev_corr)

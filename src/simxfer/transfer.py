@@ -13,18 +13,20 @@ stays frozen.  One that trains ``cla`` has a head, regressed onto a
 sparse distribution over integer score bins 1..K; the others predict
 cosine, which DNT regresses onto scores normalized into [0,1] or [-1,1].
 
-Training, evaluation and prediction share one forward path:
-``embed_sentences`` embeds all sentences of a batch at once from the
-token ids that ``index_sentences`` makes, and the heads and losses take
-one row per pair.  Training records the path on a tape and indexes its
-splits once; prediction runs it with no tape open, so it keeps no graph,
-one slice of ``SCORE_SLICE`` pairs at a time, each indexed on its own.
+Training, evaluation and prediction share one forward path: a call
+tokenizes its pairs once into a ``PairTable``, ``embed_pairs`` embeds the
+table or a slice of its pairs, and the heads and losses take one row per
+pair.  Training records the path on a tape; prediction runs it with no
+tape open, so it keeps no graph, one slice of ``SCORE_SLICE`` pairs at a
+time.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
+from itertools import repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,43 +200,64 @@ class SimilarityModel:
             tensors[name].values = values.copy()
 
 
-def index_sentences(vocabulary: Vocabulary, sentences: Iterable[str]) -> dict[str, list[int]]:
-    """Token ids of each distinct sentence, in first-seen order, tokenized once."""
-    get = vocabulary.index.get
-    ids = {text: [get(t, UNK_INDEX) for t in tokenize(text)] for text in dict.fromkeys(sentences)}
-    if not all(ids.values()):
-        raise DataError("empty sentence: no tokens to look up")
-    return ids
+class PairTable:
+    """Pairs as row numbers into the table of their distinct sentences.
 
-
-def embed_sentences(model: SimilarityModel, sentences: Sequence[str],
-                    ids: dict[str, list[int]] | None = None) -> Tensor:
-    """tokenize -> lookup -> encode for a batch of sentences (recorded if a tape is open).
-
-    Returns an n x e tensor whose row i embeds ``sentences[i]``.  Each
-    distinct sentence is encoded once, and the sentences of one token
-    length are encoded together from one T x n x d lookup, ``ids`` (by
-    default made here by ``index_sentences``) giving their token ids.
+    Each distinct sentence, first-seen over each pair's first then second
+    sentence, is tokenized once into its row of ``ids``, zero-padded to
+    ``lengths`` tokens.  ``left``, ``right`` and ``scores`` hold each pair's
+    two rows and gold score; with ``fixed`` (FT), ``features`` holds every
+    row's embedding.  Indexing picks pairs and keeps the rows.
     """
-    ids = ids or index_sentences(model.vocabulary, sentences)
-    by_length: dict[int, list[str]] = {}
-    for text in dict.fromkeys(sentences):
-        by_length.setdefault(len(ids[text]), []).append(text)
-    row = {text: i for i, text in enumerate(t for group in by_length.values() for t in group)}
-    parts = []
-    for group in by_length.values():
-        vectors = lookup_rows(model.embedding.matrix, np.array([ids[t] for t in group]).T)
-        parts.append(encode(model.encoder_params, model.encoder_config, vectors))
-    return lookup_rows(concat(parts, axis=0), [row[text] for text in sentences])
+
+    def __init__(self, model: SimilarityModel, pairs: Sequence, fixed: bool = False):
+        rows: dict[str, int] = {}
+        both = np.fromiter((rows.setdefault(text, len(rows)) for p in pairs
+                            for text in (p.sentence_a, p.sentence_b)), np.intp, 2 * len(pairs))
+        self.left, self.right = both[0::2], both[1::2]
+        self.scores = np.array([p.score for p in pairs], dtype=np.float64)
+        get = model.vocabulary.index.get
+        flat, lengths = [], []  # every row's token ids, end to end, and their counts
+        for text in rows:
+            tokens = tokenize(text)
+            flat += map(get, tokens, repeat(UNK_INDEX))
+            lengths.append(len(tokens))
+        del rows  # the pairs' rows are in ``both``: free the text keys before the id matrix
+        self.lengths = np.array(lengths, np.intp)
+        if not self.lengths.all():
+            raise DataError("empty sentence: no tokens to look up")
+        self.ids = np.zeros((len(self.lengths), self.lengths.max(initial=0)), np.int32)
+        self.ids[np.arange(self.ids.shape[1]) < self.lengths[:, None]] = flat
+        self.features = None
+        if fixed:  # neither wem nor enc trains, so every row's embedding is fixed
+            every = copy.copy(self)
+            every.left = every.right = np.arange(len(self.lengths))
+            self.features = embed_pairs(model, every)[0].values
+
+    def __getitem__(self, pairs) -> PairTable:
+        view = copy.copy(self)
+        view.left, view.right, view.scores = self.left[pairs], self.right[pairs], self.scores[pairs]
+        return view
 
 
-def embed_pairs(model: SimilarityModel, pairs: Sequence,
-                ids: dict[str, list[int]] | None = None) -> tuple[Tensor, Tensor]:
-    """m x e embeddings of the first and of the second sentences of the
-    pairs, from one ``embed_sentences`` call."""
-    m = len(pairs)
-    both = embed_sentences(model, [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs],
-                           ids)
+def embed_pairs(model: SimilarityModel, table: PairTable) -> tuple[Tensor, Tensor]:
+    """m x e embeddings of the first and of the second sentences of the table's
+    m pairs: rows of its fixed features, or else each distinct row encoded
+    once (recorded if a tape is open), first-seen over the first sentences
+    then the second ones, those of one length together from one T x n x d lookup."""
+    if table.features is not None:
+        return Tensor(table.features[table.left]), Tensor(table.features[table.right])
+    rows = table.left.tolist() + table.right.tolist()
+    groups: dict[int, list[int]] = {}
+    distinct = list(dict.fromkeys(rows))
+    for row, length in zip(distinct, table.lengths[distinct].tolist()):
+        groups.setdefault(length, []).append(row)
+    position = {row: i for i, row in enumerate(r for group in groups.values() for r in group)}
+    parts = [encode(model.encoder_params, model.encoder_config,
+                    lookup_rows(model.embedding.matrix, table.ids[group, :length].T))
+             for length, group in groups.items()]
+    both = lookup_rows(concat(parts, axis=0), [position[row] for row in rows])
+    m = len(table.left)
     return lookup_rows(both, range(m)), lookup_rows(both, range(m, 2 * m))
 
 
@@ -336,19 +359,15 @@ def dnt_loss(cosines: Tensor, targets: Sequence[float],
     return mean_over_axis(elementwise_multiply(residual, residual), axis=0)
 
 
-def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequence,
-                  embed: Callable = embed_pairs) -> list[float]:
-    """Raw predicted scores for sentence pairs, ``SCORE_SLICE`` pairs per pass, no tape.
-
-    A setting with a head predicts the head's expected bin score, the
-    others embedding cosine.  ``embed`` embeds a slice as ``embed_pairs`` does.
-    """
+def predict_pairs(config: TransferConfig, model: SimilarityModel, table: PairTable) -> list[float]:
+    """Raw predicted scores of a table's pairs, ``SCORE_SLICE`` pairs per pass, no
+    tape: a head's expected bin score, or else embedding cosine."""
     head = config.has_head
     if head and model.classifier is None:
         raise ContractError(f"{config.setting} prediction requires a classifier head")
     scores: list[float] = []
-    for start in range(0, len(pairs), SCORE_SLICE):
-        h_left, h_right = embed(model, pairs[start : start + SCORE_SLICE])
+    for start in range(0, len(table.left), SCORE_SLICE):
+        h_left, h_right = embed_pairs(model, table[start : start + SCORE_SLICE])
         if head:
             _, out = classifier_forward(h_left, h_right, model.classifier)
         else:
@@ -359,7 +378,7 @@ def predict_pairs(config: TransferConfig, model: SimilarityModel, pairs: Sequenc
 
 def predict(config: TransferConfig, model: SimilarityModel, pair) -> float:
     """Raw predicted score for one sentence pair."""
-    return predict_pairs(config, model, [pair])[0]
+    return predict_pairs(config, model, PairTable(model, [pair]))[0]
 
 
 def rescale_to_bins(score: float, score_range: tuple[float, float], bins: int,

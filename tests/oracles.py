@@ -7,9 +7,10 @@ step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
 earlier form of a production path instead: the BiLSTM recorded gate by
 gate on the tape (the arithmetic the fused ``bilstm`` kernel reproduces),
 the dense lookup adjoint,
-the character-by-character tokenizer, an FT training loop that embeds
-every batch and every dev evaluation anew with ``embed_pairs``, a grid
-search that trains every cell with its own ``train`` call, and the
+the character-by-character tokenizer, the text-keyed batch embedding
+(``embed_sentences`` and ``embed_pairs``) that the pair table replaced, a
+training loop that embeds every batch and every dev slice anew with it, a
+grid search that trains every cell with its own ``train`` call, and the
 transfer-setting rules written as one test of the setting name per case.
 """
 
@@ -24,7 +25,9 @@ from simxfer.autodiff import (
     add,
     backward,
     concat,
+    cosine,
     elementwise_multiply,
+    lookup_rows,
     matmul,
     max_over_axis,
     mean_over_axis,
@@ -34,8 +37,9 @@ from simxfer.autodiff import (
     tanh,
     transpose,
 )
-from simxfer.encoders import GATES
-from simxfer.errors import ContractError, NumericError
+from simxfer.embeddings import UNK_INDEX, tokenize
+from simxfer.encoders import GATES, encode
+from simxfer.errors import ContractError, DataError, NumericError
 from simxfer.metrics import correlation
 from simxfer.trainer import (
     TIE_TOLERANCE,
@@ -50,8 +54,9 @@ from simxfer.trainer import (
 from simxfer.transfer import (
     SCORE_SLICE,
     classifier_forward,
-    embed_pairs,
+    dnt_loss,
     ft_loss,
+    normalize_score,
     rescale_to_bins,
     sparse_target_distribution,
 )
@@ -190,11 +195,49 @@ def reference_tokenize(text):
     return tokens
 
 
-def reference_ft_train(model, config, train_pairs, dev_pairs, metric, training_config):
-    """FT training that embeds each batch and each dev slice with ``embed_pairs``.
+def embed_sentences(model, sentences):
+    """tokenize -> lookup -> encode for a batch of sentences (recorded if a tape is open).
 
-    Same shuffle, batches, Adam steps, early stopping and best-epoch
-    restore as ``trainer.train``; returns ``(model, TrainingHistory)``.
+    Returns an n x e tensor whose row i embeds ``sentences[i]``.  Each
+    distinct sentence is encoded once, and the sentences of one token
+    length are encoded together from one T x n x d lookup.
+    """
+    get = model.vocabulary.index.get
+    ids = {text: [get(t, UNK_INDEX) for t in tokenize(text)] for text in dict.fromkeys(sentences)}
+    if not all(ids.values()):
+        raise DataError("empty sentence: no tokens to look up")
+    by_length = {}
+    for text in ids:
+        by_length.setdefault(len(ids[text]), []).append(text)
+    row = {text: i for i, text in enumerate(t for group in by_length.values() for t in group)}
+    parts = []
+    for group in by_length.values():
+        vectors = lookup_rows(model.embedding.matrix, np.array([ids[t] for t in group]).T)
+        parts.append(encode(model.encoder_params, model.encoder_config, vectors))
+    return lookup_rows(concat(parts, axis=0), [row[text] for text in sentences])
+
+
+def embed_pairs(model, pairs):
+    """m x e embeddings of the first and of the second sentences of the
+    pairs, from one ``embed_sentences`` call."""
+    m = len(pairs)
+    both = embed_sentences(model, [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs])
+    return lookup_rows(both, range(m)), lookup_rows(both, range(m, 2 * m))
+
+
+def _pair_outputs(config, model, pairs):
+    """(head distribution or None, predicted scores) of the pairs, via ``embed_pairs``."""
+    h_left, h_right = embed_pairs(model, pairs)
+    if config.has_head:
+        return classifier_forward(h_left, h_right, model.classifier)
+    return None, cosine(h_left, h_right)
+
+
+def reference_train(model, config, train_pairs, dev_pairs, metric, training_config):
+    """Training that embeds each batch and each dev slice with ``embed_pairs``.
+
+    Same shuffle, batches, targets, losses, Adam steps, early stopping and
+    best-epoch restore as ``trainer.train``; returns ``(model, TrainingHistory)``.
     """
     model.apply_freeze_policy(config)
     params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
@@ -208,19 +251,24 @@ def reference_ft_train(model, config, train_pairs, dev_pairs, metric, training_c
         losses = []
         for start in range(0, len(order), training_config.batch_size):
             batch = [train_pairs[i] for i in order[start : start + training_config.batch_size]]
-            targets = np.array([
-                sparse_target_distribution(rescale_to_bins(p.score, p.score_range, config.bins),
-                                           config.bins) for p in batch])
             with Tape() as tape:
-                p_hat, _ = classifier_forward(*embed_pairs(model, batch), model.classifier)
-                loss = mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
+                p_hat, cosines = _pair_outputs(config, model, batch)
+                if config.has_head:
+                    targets = np.array([sparse_target_distribution(
+                        rescale_to_bins(p.score, p.score_range, config.bins), config.bins)
+                        for p in batch])
+                    loss = mean_over_axis(ft_loss(targets, p_hat, config.loss_kind), axis=0)
+                else:
+                    targets = [normalize_score(p.score, p.score_range, config.norm_range)
+                               for p in batch]
+                    loss = dnt_loss(cosines, targets, norm_range=config.norm_range)
             adam_step(backward(tape, loss), state, training_config.learning_rate)
             losses.append(float(loss.values))
         history.train_losses.append(float(np.mean(losses)))
         predictions = []
         for start in range(0, len(dev_pairs), SCORE_SLICE):
-            h_left, h_right = embed_pairs(model, dev_pairs[start : start + SCORE_SLICE])
-            predictions.extend(classifier_forward(h_left, h_right, model.classifier)[1].values)
+            predictions.extend(_pair_outputs(config, model,
+                                             dev_pairs[start : start + SCORE_SLICE])[1].values)
         try:
             dev_corr = correlation(metric, [float(y) for y in predictions],
                                    [p.score for p in dev_pairs]).coefficient

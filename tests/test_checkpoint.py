@@ -78,3 +78,11 @@ def test_model_snapshot_round_trip(tmp_path):
     model.restore(loaded)
     for name, tensor in model.named_tensors().items():
         assert np.array_equal(tensor.values, snapshot[name])
+
+
+def test_a_name_with_a_unicode_line_separator_round_trips(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"enc\u2028w": np.array([1.5, -2.0]), "b": np.zeros(1)})
+    loaded = load_checkpoint(path)
+    assert sorted(loaded) == ["b", "enc\u2028w"]
+    assert loaded["enc\u2028w"].tolist() == [1.5, -2.0]

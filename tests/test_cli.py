@@ -451,6 +451,18 @@ def test_build_spec_refuses_a_name_that_would_split_a_report_line(tmp_path, name
                    "exp.spec")
 
 
+def test_a_name_with_unicode_line_separators_runs_and_tabulates(tmp_path):
+    """Only LF, CRLF and a lone CR end a line of a spec or a report file;
+    U+2028 and a form feed are part of the name."""
+    name = "act\u2028iv\x0city"
+    spec, out, table = tmp_path / "exp.spec", tmp_path / "ue.tsv", tmp_path / "table.tsv"
+    spec.write_text(minimal_spec_text(name=name), encoding="utf-8")
+    assert main(["eval", "--spec", str(spec), "--out", str(out)]) == 0
+    assert parse_report(out).dataset == name
+    assert main(["table", str(out), "--out", str(table)]) == 0
+    assert name in table.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("mode, args, overrides", [
     ("run", ["--seed", "-1"], {"transfer.setting": "DNT", "transfer.freeze_wem": "false"}),
     ("eval", [], {"seed": "-3"}),

@@ -1,5 +1,5 @@
 """Tests for vocabulary, embedding loading, tokenization, and lookup through
-``index_sentences`` and ``lookup_rows``."""
+the token ids of a ``PairTable`` and ``lookup_rows``."""
 
 import string
 
@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from oracles import reference_tokenize
 
 from simxfer.autodiff import Tape, backward, dense, lookup_rows, matmul
+from simxfer.data import ScoredPair
 from simxfer.embeddings import UNK_INDEX, load_embeddings, tokenize
+from simxfer.encoders import EncoderConfig, init_encoder
 from simxfer.errors import DataError
-from simxfer.transfer import index_sentences
+from simxfer.transfer import PairTable, SimilarityModel
 
 
 def write_vectors(tmp_path, text, name="vecs.txt"):
@@ -21,10 +23,17 @@ def write_vectors(tmp_path, text, name="vecs.txt"):
     return path
 
 
+def token_ids(result, text):
+    """The token ids of ``text``: its row of a ``PairTable``, without the padding."""
+    config = EncoderConfig("word-average", input_dim=result.embedding.matrix.shape[1])
+    model = SimilarityModel(result.vocabulary, result.embedding, config, init_encoder(config))
+    table = PairTable(model, [ScoredPair(text, text, 0.0, (0.0, 1.0))])
+    return table.ids[0, : table.lengths[0]].tolist()
+
+
 def lookup(result, text):
     """The T x d embedding rows of ``text``'s tokens, as the package looks them up."""
-    ids = index_sentences(result.vocabulary, [text])[text]
-    return lookup_rows(result.embedding.matrix, ids)
+    return lookup_rows(result.embedding.matrix, token_ids(result, text))
 
 
 def test_load_small_file(tmp_path):
@@ -40,7 +49,7 @@ def test_load_small_file(tmp_path):
 def test_unk_row_is_mean_of_loaded_vectors(tmp_path):
     path = write_vectors(tmp_path, "a 1.0 3.0\nb 3.0 5.0\n")
     result = load_embeddings(path, expected_dim=2)
-    assert index_sentences(result.vocabulary, ["zzz"]) == {"zzz": [UNK_INDEX]}
+    assert token_ids(result, "zzz") == [UNK_INDEX]
     assert np.allclose(result.embedding.matrix.values[UNK_INDEX], [2.0, 4.0])
 
 

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import dense_lookup_backward, reference_ft_train, reference_grid_search
+from oracles import dense_lookup_backward, reference_grid_search, reference_train
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
 from simxfer import autodiff as ad
@@ -551,26 +551,50 @@ def test_grid_search_equals_one_train_call_per_cell(case):
 # --- splits prepared once per train call ------------------------------------------
 
 
-def _head_bytes(model):
-    return {name: t.values.tobytes() for name, t in model.classifier.named_tensors().items()}
+def _train_both_ways(config, kind, train_pairs, dev_pairs, cfg):
+    """``train`` and ``oracles.reference_train`` on identical fresh models:
+    their histories and the bytes of their tensors."""
+    def model():
+        return make_model(kind=kind, hidden=3, n_tokens=24, bins=config.bins, seed=33)
+
+    got_model, got = train(model(), config, as_split("train", train_pairs),
+                           as_split("dev", dev_pairs), cfg)
+    want_model, want = reference_train(model(), config, train_pairs, dev_pairs, "pearson", cfg)
+    return (got, _tensor_bytes(got_model)), (want, _tensor_bytes(want_model))
 
 
 @pytest.mark.parametrize("loss_kind", ["KL", "MSE"])
 def test_ft_train_equals_a_loop_that_embeds_every_batch(loss_kind):
     """FT gathers its batches and dev scores from features embedded once per
     call; the trained head and the history are bitwise those of a loop that
-    embeds every batch and dev slice with ``embed_pairs``."""
+    embeds every batch and dev slice with ``oracles.embed_pairs``."""
     ft = TransferConfig("FT", loss_kind=loss_kind, bins=5)
-    train_pairs, dev_pairs = overlap_pairs(40, seed=31), overlap_pairs(15, seed=32)
     cfg = TrainingConfig(batch_size=6, learning_rate=0.2, max_epochs=8, patience=3, seed=4)
-    got_model, got = train(make_model(kind="word-average", n_tokens=24, bins=5, seed=33), ft,
-                           as_split("train", train_pairs), as_split("dev", dev_pairs), cfg)
-    want_model, want = reference_ft_train(
-        make_model(kind="word-average", n_tokens=24, bins=5, seed=33), ft, train_pairs,
-        dev_pairs, "pearson", cfg)
-    assert got.best_epoch + 1 < got.epochs_run  # the best epoch's head is restored
+    got, want = _train_both_ways(ft, "word-average", overlap_pairs(40, seed=31),
+                                 overlap_pairs(15, seed=32), cfg)
+    assert got[0].best_epoch + 1 < got[0].epochs_run  # the best epoch's head is restored
     assert got == want
-    assert _head_bytes(got_model) == _head_bytes(want_model)
+
+
+@pytest.mark.parametrize("kind", ["bilstm-avg", "bilstm-max"])
+@pytest.mark.parametrize("config", [
+    DNT, DNT_LOCKED,
+    TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=False),
+    TransferConfig("NT", loss_kind="MSE", bins=5),
+], ids=["DNT+wem", "DNT", "NT+wem", "NT"])
+def test_train_equals_a_loop_that_embeds_every_batch(config, kind):
+    """Training the encoder (and the matrix, where the setting lets it)
+    from the pair table is bitwise the loop that embeds every batch and
+    dev slice by sentence text, whose length groups and batch order it
+    keeps: the BiLSTM gradients depend on both.  Sentences of 2 to 5 tokens
+    give each batch several length groups; repeated pairs put a sentence
+    in several batches."""
+    cfg = TrainingConfig(batch_size=8, learning_rate=0.05, max_epochs=4, patience=2, seed=5)
+    train_pairs = random_pairs(36, n_tokens=24, seed=34)
+    train_pairs += train_pairs[:6]  # a sentence in several batches
+    got, want = _train_both_ways(config, kind, train_pairs,
+                                 random_pairs(12, n_tokens=24, seed=35), cfg)
+    assert got == want
 
 
 @pytest.mark.parametrize("config", [DNT, TransferConfig("FT", loss_kind="KL", bins=5)],
@@ -579,7 +603,8 @@ def test_train_tokenizes_each_distinct_sentence_once_per_call(config, monkeypatc
     """However many epochs and batches, a ``train`` call tokenizes each distinct
     train and dev sentence once; a second call on the same vocabulary indexes
     its splits again (nothing is cached across calls) and adds no token.  A
-    ``grid_search`` call, however many runs it makes, also tokenizes once."""
+    ``grid_search`` call, however many runs it makes, and an ``evaluate_split``
+    call, however many slices it scores, also tokenize once."""
     calls = collections.Counter()
     tokenize = transfer.tokenize
 
@@ -608,3 +633,50 @@ def test_train_tokenizes_each_distinct_sentence_once_per_call(config, monkeypatc
     assert len(result.cells) == 8
     assert calls == collections.Counter(distinct)
     assert model.vocabulary.index == index
+    # scoring more than SCORE_SLICE pairs that repeat across slices also
+    # tokenizes each distinct sentence once per call
+    calls.clear()
+    scored = (train_pairs + dev_pairs) * 15
+    assert len(scored) > 2 * transfer.SCORE_SLICE
+    evaluate_split(model, config, scored, "pearson")
+    assert calls == collections.Counter(distinct)
+
+
+# (module, attribute) pairs that the benchmark tracer (perfbench/tracing.py) wraps
+TRACED_HOOKS = ((trainer, "batch_loss"), (trainer, "evaluate_split"), (trainer, "backward"),
+                (trainer, "adam_step"), (transfer, "tokenize"), (transfer, "encode"))
+
+
+@pytest.mark.parametrize("config", [DNT, TransferConfig("FT", loss_kind="KL", bins=5)],
+                         ids=["DNT", "FT"])
+def test_training_calls_each_function_the_benchmark_tracer_wraps(config, monkeypatch):
+    """The tracer times each layer by replacing a module attribute, so
+    ``train`` and ``grid_search`` must look each one up there when they call
+    it.  Under FT, ``encode`` runs only while the splits are prepared: once
+    for the one token length of these pairs."""
+    calls = collections.Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in TRACED_HOOKS:
+        monkeypatch.setattr(module, name, counting(module, name))
+    pairs = overlap_pairs(20, seed=51)
+    splits = as_split("train", pairs[:14]), as_split("dev", pairs[14:])
+
+    def factory():
+        return make_model(kind="bilstm-avg", hidden=3, n_tokens=24, bins=config.bins, seed=52)
+
+    train(factory(), config, *splits, TrainingConfig(batch_size=8, max_epochs=2, patience=5))
+    assert set(calls) == {name for _, name in TRACED_HOOKS}
+    assert config.setting != "FT" or calls["encode"] == 1
+    calls.clear()
+    grid_search(factory, config, *splits, HyperGrid((8,), (0.01, 0.1), (1, 2), patience=5))
+    assert set(calls) == {name for _, name in TRACED_HOOKS}
+    assert config.setting != "FT" or calls["encode"] == 1

@@ -2,29 +2,32 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from conftest import FIXTURES_DIR
 from oracles import bilstm_reference_embedding, reference_transfer_config
 
 from simxfer import autodiff
 from simxfer.autodiff import Tape, Tensor, grad_check, lookup_rows, softmax
 from simxfer.data import ScoredPair
-from simxfer.embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, tokenize
+from simxfer.embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, load_embeddings, tokenize
 from simxfer.encoders import EncoderConfig, encode, init_encoder
 from simxfer.errors import ContractError, DataError, NumericError, ShapeError
 from simxfer.transfer import (
     SCORE_SLICE,
     SETTINGS,
     ClassifierParameters,
+    PairTable,
     SimilarityModel,
     TransferConfig,
     classifier_forward,
     dnt_loss,
-    embed_sentences,
+    embed_pairs,
     ft_loss,
-    index_sentences,
     init_classifier,
     normalize_score,
     predict,
@@ -308,28 +311,47 @@ def _reference_embedding(model, text):
     return bilstm_reference_embedding(params, vectors, model.encoder_config.kind[len("bilstm-"):])
 
 
+def test_pair_table_rows_are_the_distinct_sentences_in_first_seen_order():
+    model = toy_model()
+    table = PairTable(model, [pair("a b", "film", 1.0), pair("film", "c"),
+                              pair("a b", "zzz d film", 4.0)])
+    index = model.vocabulary.index
+    assert table.ids.tolist() == [[index["a"], index["b"], 0], [index["film"], 0, 0],
+                                  [index["c"], 0, 0], [UNK_INDEX, index["d"], index["film"]]]
+    assert table.lengths.tolist() == [2, 1, 1, 3]
+    assert (table.left.tolist(), table.right.tolist()) == ([0, 1, 0], [1, 2, 3])
+    assert table.scores.tolist() == [1.0, 2.5, 4.0]
+    tail = table[1:]
+    assert (tail.left.tolist(), tail.right.tolist()) == ([1, 0], [2, 3])
+    assert tail.ids is table.ids and tail.scores.tolist() == [2.5, 4.0]
+
+
 @pytest.mark.parametrize("kind", ["word-average", "bilstm-avg", "bilstm-max"])
-def test_embed_sentences_matches_per_sentence_encode(kind):
+def test_embed_pairs_matches_per_sentence_encode(kind):
     model = toy_model(kind=kind, hidden=3)
     # mixed lengths, out-of-vocabulary tokens and repeats, in no length order
     sentences = ["a b film", "movie", "zzz a", "a b film", "c d a b", "qq rr", "film",
-                 "movie", "d c b a"]
+                 "movie", "d c b a", "zzz a"]
+    pairs = [pair(a, b) for a, b in zip(sentences[:5], sentences[5:])]
     with Tape():
-        batched = embed_sentences(model, sentences).values
+        left, right = embed_pairs(model, PairTable(model, pairs))
+        want_left, want_right = oracles.embed_pairs(model, pairs)
+    assert left.values.tobytes() == want_left.values.tobytes()
+    assert right.values.tobytes() == want_right.values.tobytes()
+    batched = np.concatenate([left.values, right.values])
     assert batched.shape == (len(sentences), model.encoder_config.output_dim)
     for row, text in zip(batched, sentences):
         with Tape():
-            ids = index_sentences(model.vocabulary, [text])[text]
+            ids = [model.vocabulary.index.get(t, UNK_INDEX) for t in tokenize(text)]
             vectors = lookup_rows(model.embedding.matrix, ids)
             single = encode(model.encoder_params, model.encoder_config, vectors).values
         assert np.allclose(row, single, rtol=0, atol=1e-12)
         assert np.allclose(row, _reference_embedding(model, text), rtol=0, atol=1e-12)
 
 
-def test_embed_sentences_rejects_empty_sentence():
-    with Tape():
-        with pytest.raises(DataError):
-            embed_sentences(toy_model(), ["a b", "  "])
+def test_pair_table_rejects_empty_sentence():
+    with pytest.raises(DataError):
+        PairTable(toy_model(), [pair("a b", "film"), pair("c", "  ")])
 
 
 @pytest.mark.parametrize("config", [
@@ -347,7 +369,7 @@ def test_predict_pairs_matches_predict_pair_by_pair(config):
         return " ".join(rng.choice(words, size=int(rng.integers(1, 6))))
 
     pairs = [pair(sentence(), sentence()) for _ in range(SCORE_SLICE + 44)]
-    batched = predict_pairs(config, model, pairs)
+    batched = predict_pairs(config, model, PairTable(model, pairs))
     one_by_one = [predict(config, model, p) for p in pairs]
     assert np.allclose(batched, one_by_one, rtol=0, atol=1e-12)
 
@@ -359,13 +381,48 @@ def test_predict_pairs_matches_predict_pair_by_pair(config):
 def test_predict_pairs_records_no_graph(config, monkeypatch):
     model = toy_model(kind="bilstm-max", hidden=3, classifier_bins=5)
     model.apply_freeze_policy(TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=False))
-    expected = predict_pairs(config, model, [pair("a film", "b movie c")])
+    expected = predict_pairs(config, model, PairTable(model, [pair("a film", "b movie c")]))
 
     def no_node(*args, **kwargs):
         raise AssertionError("scoring recorded a tape node")
 
     monkeypatch.setattr(autodiff, "TapeNode", no_node)
-    assert predict_pairs(config, model, [pair("a film", "b movie c")]) == expected
+    assert predict_pairs(config, model, PairTable(model, [pair("a film", "b movie c")])) == expected
+
+
+# Bytes that scoring may add per pair beyond 2 * SCORE_SLICE pairs.  Measured
+# with the 50-d fixture vectors and 3-8-token sentences: building the pair
+# table and returning the scores add 190-240 bytes per pair (tokenizing each
+# slice on its own, as before the table, added 33-38); looking up every
+# pair's sentences at once would add about 4,400.
+SCORING_BYTES_PER_PAIR = 400
+
+
+@pytest.mark.parametrize("kind", ["word-average", "bilstm-avg"])
+def test_scoring_memory_holds_one_slice_of_lookups(kind):
+    """Scoring 40 slices of pairs rather than 2 adds the pair table and the
+    scores, not the T x n x d lookups of more than one slice at a time."""
+    emb = load_embeddings(FIXTURES_DIR / "wordvecs_50d.txt", 50)
+    config = EncoderConfig(kind, input_dim=50, hidden_dim=0 if kind == "word-average" else 8,
+                           seed=1)
+    model = SimilarityModel(emb.vocabulary, emb.embedding, config, init_encoder(config))
+    words = sorted(emb.vocabulary.index)
+    rng = np.random.default_rng(5)
+
+    def peak(n_pairs):
+        def sentence():
+            return " ".join(rng.choice(words, size=int(rng.integers(3, 9))))
+
+        pairs = [pair(sentence(), sentence()) for _ in range(n_pairs)]
+        tracemalloc.start()
+        try:
+            predict_pairs(TransferConfig("UE"), model, PairTable(model, pairs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * SCORE_SLICE), peak(40 * SCORE_SLICE)
+    assert large - small <= SCORING_BYTES_PER_PAIR * 38 * SCORE_SLICE
 
 
 # --- config and freeze matrix ----------------------------------------------
