@@ -73,9 +73,10 @@ class LoadResult:
 def read_lines(path, what: str, error: type[Exception] = DataError,
                errors: str = "strict") -> list[str]:
     """The lines of a UTF-8 text file, ended only by LF, CRLF or a lone CR (not by
-    U+2028, a form feed and the like); ``error`` if it cannot be opened or decoded."""
+    U+2028, a form feed and the like), without a leading BOM; ``error`` if it
+    cannot be opened or decoded."""
     try:
-        with open(path, "r", encoding="utf-8", errors=errors) as handle:
+        with open(path, "r", encoding="utf-8-sig", errors=errors) as handle:
             return [line.rstrip("\n") for line in handle]  # universal newlines
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot open {what} {path}: {exc}") from exc

@@ -1,15 +1,17 @@
 """Vocabulary management, word-vector loading and tokenization.
 
-The embedding file format is plain UTF-8 text, one entry per line:
-``token SP value1 SP ... SP valueD``, no header.  Duplicate tokens keep
-the first occurrence; lines with the wrong dimension are skipped and
-counted.  Index 0 is always the unknown-word row, initialized to the
-mean of all loaded vectors so out-of-vocabulary tokens stay roughly
-in-distribution.
+The embedding file format is plain UTF-8 text (a leading BOM is ignored),
+one entry per line: ``token SP value1 SP ... SP valueD``, no header.  A
+value is what Python's ``float()`` accepts.  Duplicate tokens keep the
+first occurrence; lines with the wrong dimension, a refused value or a
+non-finite one are skipped and counted.  Index 0 is always the unknown-word
+row, initialized to the mean of all loaded vectors so out-of-vocabulary
+tokens stay roughly in-distribution.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import string
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 UNK_TOKEN = "<unk>"
 UNK_INDEX = 0
+_CHUNK_LINES = 1024  # file lines parsed per np.loadtxt call
 
 _PUNCT = set(string.punctuation)
 
@@ -60,6 +63,41 @@ class EmbeddingLoadResult:
     skipped_lines: int
 
 
+def _parse_line(rest: str, dim: int) -> np.ndarray:
+    """One line's values by ``float()``'s rule; a row of NaN, so that the line is
+    skipped, if ``float()`` refuses a value."""
+    try:
+        return np.array([float(v) for v in rest.split(" ")], dtype=np.float64)
+    except ValueError:
+        return np.full(dim, np.nan)
+
+
+def _kept_rows(lines: list[str], vocab: Vocabulary, dim: int) -> np.ndarray:
+    """The rows of ``lines`` that load, in file order; their tokens join ``vocab``.
+
+    numpy's C reader accepts a subset of what ``float()`` accepts and agrees with
+    it there, so a chunk it refuses is parsed again line by line."""
+    parts = [line.rstrip("\r\n").partition(" ") for line in lines
+             if line.count(" ") == dim and not line.startswith(" ")]
+    candidates = [(token, rest) for token, _, rest in parts if rest]  # loadtxt would drop ""
+    if not candidates:
+        return np.empty((0, dim))
+    rests = [rest for _, rest in candidates]
+    try:
+        block = np.loadtxt(rests, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        block = None
+    if block is None or block.shape != (len(rests), dim):
+        block = np.array([_parse_line(rest, dim) for rest in rests])
+    keep = []
+    finite = np.isfinite(block).all(axis=1)  # nan/inf would poison the UNK mean
+    for i, ((token, _), ok) in enumerate(zip(candidates, finite.tolist())):
+        if ok and token not in vocab:  # a duplicate keeps the first occurrence
+            vocab.add(token)
+            keep.append(i)
+    return block if len(keep) == len(block) else block[keep]
+
+
 def load_embeddings(path, expected_dim: int) -> EmbeddingLoadResult:
     """Parse a word-vector text file into a vocabulary and matrix.
 
@@ -71,41 +109,28 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingLoadResult:
     if expected_dim <= 0:
         raise ContractError("expected_dim must be positive")
     vocab = Vocabulary()
-    rows: list[np.ndarray] = []
-    skipped = 0
+    blocks: list[np.ndarray] = []
+    n_lines = 0
     try:
-        handle = open(path, "r", encoding="utf-8", errors="replace")
+        handle = open(path, "r", encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise DataError(f"cannot open embedding file {path}: {exc}") from exc
     with handle:
-        for line in handle:
-            parts = line.rstrip("\r\n").split(" ")
-            if len(parts) != expected_dim + 1 or not parts[0]:
-                skipped += 1
-                continue
-            token = parts[0]
-            try:
-                vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                skipped += 1
-                continue
-            if not np.isfinite(vector).all():  # nan/inf would poison the UNK mean
-                skipped += 1
-                continue
-            if token in vocab:
-                skipped += 1  # duplicate keeps the first occurrence
-                continue
-            vocab.add(token)
-            rows.append(vector)
-    if not rows:
+        while chunk := list(itertools.islice(handle, _CHUNK_LINES)):
+            n_lines += len(chunk)
+            blocks.append(_kept_rows(chunk, vocab, expected_dim))
+    if len(vocab) == 1:
         raise DataError(f"embedding file {path} contains no valid lines")
+    skipped = n_lines - (len(vocab) - 1)
     if skipped:
         logger.warning("embedding file %s: skipped %d malformed lines", path, skipped)
+    values = np.empty((len(vocab), expected_dim))
+    rows = np.concatenate(blocks, out=values[1:])
     with np.errstate(over="ignore"):
-        unk_row = np.mean(rows, axis=0)
-    if not np.isfinite(unk_row).all():  # the sum overflowed; the mean of finite rows cannot
-        unk_row = np.sum(np.divide(rows, len(rows)), axis=0)
-    matrix = Tensor(np.vstack([unk_row] + rows), trainable=False, name="wem.matrix")
+        values[0] = np.mean(rows, axis=0)
+    if not np.isfinite(values[0]).all():  # the sum overflowed; the mean of finite rows cannot
+        values[0] = np.sum(rows / len(rows), axis=0)
+    matrix = Tensor(values, trainable=False, name="wem.matrix")
     return EmbeddingLoadResult(vocab, EmbeddingMatrix(matrix, expected_dim), skipped)
 
 

@@ -7,7 +7,8 @@ step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
 earlier form of a production path instead: the BiLSTM recorded gate by
 gate on the tape (the arithmetic the fused ``bilstm`` kernel reproduces),
 the dense lookup adjoint,
-the character-by-character tokenizer, the text-keyed batch embedding
+the character-by-character tokenizer, the word-vector loader that splits
+every line and calls ``float()`` on each value, the text-keyed batch embedding
 (``embed_sentences`` and ``embed_pairs``) that the pair table replaced, a
 training loop that embeds every batch and every dev slice anew with it, a
 grid search that trains every cell with its own ``train`` call, and the
@@ -37,7 +38,13 @@ from simxfer.autodiff import (
     tanh,
     transpose,
 )
-from simxfer.embeddings import UNK_INDEX, tokenize
+from simxfer.embeddings import (
+    UNK_INDEX,
+    EmbeddingLoadResult,
+    EmbeddingMatrix,
+    Vocabulary,
+    tokenize,
+)
 from simxfer.encoders import GATES, encode
 from simxfer.errors import ContractError, DataError, NumericError
 from simxfer.metrics import correlation
@@ -193,6 +200,50 @@ def reference_tokenize(text):
             tokens.append(chunk)
         tokens.extend(reversed(trailing))
     return tokens
+
+
+def reference_load_embeddings(path, expected_dim):
+    """``load_embeddings`` one line at a time: split every line and ``float()``
+    each value.  Its rules are the loader's grammar: a line loads iff it has
+    ``expected_dim`` values after a non-empty token, ``float()`` accepts them all,
+    they are finite and the token is new."""
+    if expected_dim <= 0:
+        raise ContractError("expected_dim must be positive")
+    vocab = Vocabulary()
+    rows = []
+    skipped = 0
+    try:
+        handle = open(path, "r", encoding="utf-8-sig", errors="replace")
+    except OSError as exc:
+        raise DataError(f"cannot open embedding file {path}: {exc}") from exc
+    with handle:
+        for line in handle:
+            parts = line.rstrip("\r\n").split(" ")
+            if len(parts) != expected_dim + 1 or not parts[0]:
+                skipped += 1
+                continue
+            token = parts[0]
+            try:
+                vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError:
+                skipped += 1
+                continue
+            if not np.isfinite(vector).all():
+                skipped += 1
+                continue
+            if token in vocab:
+                skipped += 1
+                continue
+            vocab.add(token)
+            rows.append(vector)
+    if not rows:
+        raise DataError(f"embedding file {path} contains no valid lines")
+    with np.errstate(over="ignore"):
+        unk_row = np.mean(rows, axis=0)
+    if not np.isfinite(unk_row).all():
+        unk_row = np.sum(np.divide(rows, len(rows)), axis=0)
+    matrix = Tensor(np.vstack([unk_row] + rows), trainable=False, name="wem.matrix")
+    return EmbeddingLoadResult(vocab, EmbeddingMatrix(matrix, expected_dim), skipped)
 
 
 def embed_sentences(model, sentences):

@@ -54,6 +54,13 @@ def test_parse_spec_file_comments_and_blanks(tmp_path):
     assert entries["name"] == "x"
 
 
+def test_a_utf8_bom_does_not_break_the_first_spec_line(tmp_path):
+    original = FIXTURES_DIR / "specs" / "ue_wordavg.spec"
+    bommed = tmp_path / "bom.spec"
+    bommed.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert parse_spec_file(bommed) == parse_spec_file(original)
+
+
 def test_parse_spec_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.spec"
     path.write_text("learning = fast\n")

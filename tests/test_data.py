@@ -1,6 +1,7 @@
 """Tests for dataset parsing and split management."""
 
 import pytest
+from conftest import FIXTURES_DIR
 
 from simxfer.data import (
     DatasetSplit,
@@ -110,6 +111,13 @@ def test_sick_missing_column_fatal(tmp_path):
     with pytest.raises(DataError) as err:
         load_sick(write(tmp_path, text))
     assert "sentence_B" in str(err.value)
+
+
+def test_a_utf8_bom_does_not_hide_the_sick_header(tmp_path):
+    original = FIXTURES_DIR / "activity_pairs_sick.tsv"
+    bommed = tmp_path / "bom.tsv"
+    bommed.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert load_sick(bommed) == load_sick(original)
 
 
 def test_generic_bipolar_range(tmp_path):
