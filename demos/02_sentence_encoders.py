@@ -55,5 +55,5 @@ for name, model in models.items():
 a = init_encoder(configs["bilstm-avg"])
 b = init_encoder(configs["bilstm-avg"])
 identical = all(np.array_equal(x.values, y.values)
-                for x, y in zip(a.tensors(), b.tensors()))
+                for x, y in zip(a.values(), b.values()))
 print("\nseeded init is reproducible:", identical)

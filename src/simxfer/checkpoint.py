@@ -41,6 +41,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             continue
         try:
             name, shape_text = lines[i].rsplit(" ", 1)
+            if name in tensors:  # keeping either value would hide the other
+                raise DataError(f"{path}: duplicate checkpoint entry {name!r} at line {i + 1}")
             shape = () if shape_text == "scalar" else tuple(int(d) for d in shape_text.split(","))
             if any(d < 0 for d in shape):  # reshape would infer a -1 dimension
                 raise ValueError(f"negative dimension in shape {shape_text}")

@@ -294,9 +294,13 @@ def parse_report(path) -> ExperimentReport:
         else:
             fields[parts[0]] = parts[1]
     try:
-        return ExperimentReport(**{k: REPORT_FIELDS[k](v) for k, v in fields.items()}, cells=cells)
+        report = ExperimentReport(**{k: REPORT_FIELDS[k](v) for k, v in fields.items()}, cells=cells)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: incomplete report: {exc}") from exc
+    for corr in (report.test_correlation, report.dev_correlation, *(c[3] for c in cells)):
+        if corr is not None and not -1.0 <= corr <= 1.0:  # NaN fails too
+            raise DataError(f"{path}: correlation {corr} is not in [-1, 1]")
+    return report
 
 
 TIE_MARGIN = 0.002
@@ -395,15 +399,13 @@ def run_experiment(spec: ExperimentSpec, mode: str) -> ExperimentReport:
         if spec.transfer.has_head:
             classifier = init_classifier(spec.encoder.output_dim, spec.transfer.bins,
                                          spec.classifier_hidden, seed=spec.classifier_seed)
-        model = SimilarityModel(
+        return SimilarityModel(
             vocabulary=emb.vocabulary,
             embedding=EmbeddingMatrix(matrix, spec.embeddings_dim),
             encoder_config=spec.encoder,
             encoder_params=init_encoder(spec.encoder),
             classifier=classifier,
         )
-        model.apply_freeze_policy(spec.transfer)
-        return model
 
     report = ExperimentReport(
         dataset=spec.name,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import tokenize
 from .errors import ContractError, DataError
 from .metrics import METRICS
 
@@ -103,7 +102,8 @@ def _parse_lines(path, lines: list[str], columns: tuple[int, int, int], width: i
         except ValueError:
             score = math.nan
         a, b = fields[a_col], fields[b_col]
-        if lo - 1e-9 <= score <= hi + 1e-9 and tokenize(a) and tokenize(b):  # NaN fails
+        # a sentence tokenizes to nothing exactly when it is all whitespace
+        if lo - 1e-9 <= score <= hi + 1e-9 and a.strip() and b.strip():  # NaN fails
             pairs.append(ScoredPair(a, b, score, score_range))
         else:
             warnings += 1

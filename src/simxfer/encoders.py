@@ -10,7 +10,9 @@ output gate * tanh(cell state).
 ``encode`` takes one sentence (T x d) or a batch of n sentences of equal
 length (T x n x d); a BiLSTM encodes it as one ``bilstm`` node, whose
 kernel runs both directions' recurrence and its hand-written backward
-pass, and one pooling node.
+pass, and one pooling node.  The parameters are named tensors in a dict, in
+the order ``bilstm`` takes them (``BILSTM_NAMES``: fw then bw; in each, W, U
+and b, each in ``GATES`` order).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .errors import ContractError, DataError
 ENCODER_KINDS = ("word-average", "bilstm-avg", "bilstm-max")
 
 GATES = ("input", "forget", "output", "candidate")
+# a BiLSTM's tensors in the order ``bilstm`` takes them
+BILSTM_NAMES = tuple(f"enc.{tag}.{part}_{gate}" for tag in ("fw", "bw")
+                     for part in "wub" for gate in GATES)
 
 
 @dataclass(frozen=True)
@@ -49,64 +54,25 @@ class EncoderConfig:
         return self.input_dim if self.kind == "word-average" else 2 * self.hidden_dim
 
 
-@dataclass
-class LstmDirection:
-    """Gate parameters for one direction, keyed by gate name."""
-
-    w: dict[str, Tensor]  # input weights, h x d
-    u: dict[str, Tensor]  # recurrent weights, h x h
-    b: dict[str, Tensor]  # biases, h
-
-    def tensors(self) -> list[Tensor]:
-        """W, U and b, each in ``GATES`` order: the order ``bilstm`` takes them in."""
-        return [part[gate] for part in (self.w, self.u, self.b) for gate in GATES]
-
-
-@dataclass
-class EncoderParameters:
-    """The encoder parameter set; empty for word-average."""
-
-    forward: LstmDirection | None = None
-    backward: LstmDirection | None = None
-
-    def tensors(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        if self.forward is not None:
-            out.extend(self.forward.tensors())
-        if self.backward is not None:
-            out.extend(self.backward.tensors())
-        return out
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        return {t.name: t for t in self.tensors()}
-
-
-def _init_direction(rng: np.random.Generator, tag: str, d: int, h: int) -> LstmDirection:
-    bound = 1.0 / np.sqrt(h)
-    w, u, b = {}, {}, {}
-    for gate in GATES:
-        w[gate] = Tensor(rng.uniform(-bound, bound, size=(h, d)), trainable=True,
-                         name=f"enc.{tag}.w_{gate}")
-        u[gate] = Tensor(rng.uniform(-bound, bound, size=(h, h)), trainable=True,
-                         name=f"enc.{tag}.u_{gate}")
-        bias = np.ones(h) if gate == "forget" else np.zeros(h)
-        b[gate] = Tensor(bias, trainable=True, name=f"enc.{tag}.b_{gate}")
-    return LstmDirection(w, u, b)
-
-
-def init_encoder(config: EncoderConfig) -> EncoderParameters:
-    """Seeded parameter init: weights uniform in [-1/sqrt(h), 1/sqrt(h)],
-    forget-gate bias 1.0, other biases zero."""
+def init_encoder(config: EncoderConfig) -> dict[str, Tensor]:
+    """The 24 tensors by name in ``bilstm`` order, none for word-average.  Seeded
+    init, drawn per direction and gate, W then U: weights uniform in
+    [-1/sqrt(h), 1/sqrt(h)], forget-gate bias 1.0, other biases zero."""
     if config.kind == "word-average":
-        return EncoderParameters()
+        return {}
     rng = np.random.default_rng(config.seed)
-    return EncoderParameters(
-        forward=_init_direction(rng, "fw", config.input_dim, config.hidden_dim),
-        backward=_init_direction(rng, "bw", config.input_dim, config.hidden_dim),
-    )
+    d, h = config.input_dim, config.hidden_dim
+    bound = 1.0 / np.sqrt(h)
+    drawn = {}
+    for tag in ("fw", "bw"):
+        for gate in GATES:
+            drawn[f"enc.{tag}.w_{gate}"] = rng.uniform(-bound, bound, size=(h, d))
+            drawn[f"enc.{tag}.u_{gate}"] = rng.uniform(-bound, bound, size=(h, h))
+            drawn[f"enc.{tag}.b_{gate}"] = np.ones(h) if gate == "forget" else np.zeros(h)
+    return {name: Tensor(drawn[name], trainable=True, name=name) for name in BILSTM_NAMES}
 
 
-def encode(params: EncoderParameters, config: EncoderConfig, token_vectors: Tensor) -> Tensor:
+def encode(params: dict[str, Tensor], config: EncoderConfig, token_vectors: Tensor) -> Tensor:
     """Encode a T x d token-vector matrix into one embedding vector, or a
     T x n x d batch of n equal-length sentences into an n x e matrix."""
     if token_vectors.values.ndim not in (2, 3):
@@ -116,9 +82,10 @@ def encode(params: EncoderParameters, config: EncoderConfig, token_vectors: Tens
         raise DataError("empty sentence: nothing to encode")
     if config.kind == "word-average":
         return mean_over_axis(token_vectors, axis=0)
-    if params.forward is None or params.backward is None:
-        raise ContractError(f"{config.kind} requires initialized parameters")
-    per_step = bilstm(token_vectors, params.forward.tensors(), params.backward.tensors())
+    if tuple(params) != BILSTM_NAMES:  # a same-shaped tensor out of place would go unseen
+        raise ContractError(f"{config.kind} requires the 24 tensors of BILSTM_NAMES, in order")
+    values = list(params.values())
+    per_step = bilstm(token_vectors, values[:12], values[12:])
     if config.kind == "bilstm-avg":
         return mean_over_axis(per_step, axis=0)
     return max_over_axis(per_step, axis=0)

@@ -209,7 +209,7 @@ def _trainable(model: SimilarityModel, transfer_config: TransferConfig) -> list[
     if transfer_config.has_head and model.classifier is None:
         raise ContractError(f"{transfer_config.setting} training requires a classifier head")
     model.apply_freeze_policy(transfer_config)
-    params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
+    params = [t for t in model.named_tensors().values() if t.trainable]
     if not params:
         raise ContractError("freeze policy leaves nothing to train")
     return params
@@ -296,8 +296,11 @@ class HyperGrid:
     def cells(self) -> list[TrainingConfig]:
         """Cells enumerated in tie-break priority order:
         smaller lr, then smaller batch, then fewer epochs."""
-        if not (self.batch_sizes and self.learning_rates and self.epoch_budgets):
+        lists = (self.batch_sizes, self.learning_rates, self.epoch_budgets)
+        if not all(lists):
             raise ContractError("grid must be nonempty")
+        if any(len(set(values)) != len(values) for values in lists):
+            raise ContractError("grid values must not repeat")
         return [
             TrainingConfig(batch_size=b, learning_rate=lr, max_epochs=e,
                            patience=self.patience, seed=self.seed)

@@ -13,6 +13,9 @@ stays frozen.  One that trains ``cla`` has a head, regressed onto a
 sparse distribution over integer score bins 1..K; the others predict
 cosine, which DNT regresses onto scores normalized into [0,1] or [-1,1].
 
+A model's parameters are its named tensors (``wem.matrix``, ``enc.*`` in
+``bilstm`` order, ``cla.*``); a set is those whose names share its prefix.
+
 Training, evaluation and prediction share one forward path: a call
 tokenizes its pairs once into a ``PairTable``, ``embed_pairs`` embeds the
 table or a slice of its pairs, and the heads and losses take one row per
@@ -48,7 +51,7 @@ from .autodiff import (
     transpose,
 )
 from .embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, tokenize
-from .encoders import EncoderConfig, EncoderParameters, encode
+from .encoders import EncoderConfig, encode
 from .errors import ContractError, DataError, ShapeError
 
 SETTINGS = {
@@ -116,45 +119,22 @@ def trainable_parameter_sets(config: TransferConfig) -> frozenset[str]:
     return row if config.freeze_wem else row | {"wem"}
 
 
-@dataclass
-class ClassifierParameters:
-    """Dense + softmax head over combined pair features."""
-
-    w_times: Tensor  # k x e
-    w_plus: Tensor  # k x e
-    b_h: Tensor  # k
-    w_p: Tensor  # K x k
-    b_p: Tensor  # K
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w_times, self.w_plus, self.b_h, self.w_p, self.b_p]
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        return {t.name: t for t in self.tensors()}
-
-    @property
-    def bins(self) -> int:
-        return self.w_p.shape[0]
-
-
 def init_classifier(embedding_dim: int, bins: int = DEFAULT_BINS,
-                    hidden_width: int = DEFAULT_HIDDEN_WIDTH, seed: int = 0) -> ClassifierParameters:
-    """Seeded init: weights uniform in [-1/sqrt(e), 1/sqrt(e)], biases zero."""
+                    hidden_width: int = DEFAULT_HIDDEN_WIDTH, seed: int = 0) -> dict[str, Tensor]:
+    """The dense + softmax head's tensors by name.  Seeded init: weights
+    uniform in [-1/sqrt(e), 1/sqrt(e)], biases zero."""
     if embedding_dim <= 0 or bins < 2 or hidden_width <= 0:
         raise ContractError("classifier dimensions must be positive (bins >= 2)")
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(embedding_dim)
-
-    def weight(shape, name):
-        return Tensor(rng.uniform(-bound, bound, size=shape), trainable=True, name=name)
-
-    return ClassifierParameters(
-        w_times=weight((hidden_width, embedding_dim), "cla.w_times"),
-        w_plus=weight((hidden_width, embedding_dim), "cla.w_plus"),
-        b_h=Tensor(np.zeros(hidden_width), trainable=True, name="cla.b_h"),
-        w_p=weight((bins, hidden_width), "cla.w_p"),
-        b_p=Tensor(np.zeros(bins), trainable=True, name="cla.b_p"),
-    )
+    values = {
+        "cla.w_times": rng.uniform(-bound, bound, size=(hidden_width, embedding_dim)),
+        "cla.w_plus": rng.uniform(-bound, bound, size=(hidden_width, embedding_dim)),
+        "cla.b_h": np.zeros(hidden_width),
+        "cla.w_p": rng.uniform(-bound, bound, size=(bins, hidden_width)),
+        "cla.b_p": np.zeros(bins),
+    }
+    return {name: Tensor(v, trainable=True, name=name) for name, v in values.items()}
 
 
 @dataclass
@@ -164,28 +144,25 @@ class SimilarityModel:
     vocabulary: Vocabulary
     embedding: EmbeddingMatrix
     encoder_config: EncoderConfig
-    encoder_params: EncoderParameters
-    classifier: ClassifierParameters | None = None
+    encoder_params: dict[str, Tensor]
+    classifier: dict[str, Tensor] | None = None
 
     def parameter_sets(self) -> dict[str, list[Tensor]]:
-        sets = {"wem": [self.embedding.matrix], "enc": self.encoder_params.tensors()}
-        if self.classifier is not None:
-            sets["cla"] = self.classifier.tensors()
+        """Tensors by parameter set, their names' prefix: ``cla`` only with a head."""
+        sets: dict[str, list[Tensor]] = {"wem": [], "enc": []}
+        for name, t in self.named_tensors().items():
+            sets.setdefault(name.split(".", 1)[0], []).append(t)
         return sets
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out = {"wem.matrix": self.embedding.matrix}
-        out.update(self.encoder_params.named_tensors())
-        if self.classifier is not None:
-            out.update(self.classifier.named_tensors())
-        return out
+        return {"wem.matrix": self.embedding.matrix, **self.encoder_params,
+                **(self.classifier or {})}
 
     def apply_freeze_policy(self, config: TransferConfig) -> frozenset[str]:
         """Set every tensor's trainable flag from the freeze-policy matrix."""
         trainable = trainable_parameter_sets(config)
-        for name, tensors in self.parameter_sets().items():
-            for t in tensors:
-                t.trainable = name in trainable
+        for name, t in self.named_tensors().items():
+            t.trainable = name.split(".", 1)[0] in trainable
         return trainable
 
     def snapshot(self, trainable_only: bool = False) -> dict[str, np.ndarray]:
@@ -297,7 +274,7 @@ def sparse_target_distribution(y: float, bins: int) -> np.ndarray:
 
 
 def classifier_forward(h_left: Tensor, h_right: Tensor,
-                       params: ClassifierParameters) -> tuple[Tensor, Tensor]:
+                       params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Head forward pass: returns (bin distribution, expected score).
 
     Takes one pair's two embedding vectors, or m x e matrices with one
@@ -307,15 +284,16 @@ def classifier_forward(h_left: Tensor, h_right: Tensor,
     """
     if h_left.shape != h_right.shape or h_left.values.ndim not in (1, 2):
         raise ShapeError("classifier_forward", h_left.shape, h_right.shape)
-    if params.w_times.shape[1] != h_left.shape[-1]:
-        raise ShapeError("classifier_forward", params.w_times.shape, h_left.shape,
+    w_times, w_plus, w_p = params["cla.w_times"], params["cla.w_plus"], params["cla.w_p"]
+    if w_times.shape[1] != h_left.shape[-1]:
+        raise ShapeError("classifier_forward", w_times.shape, h_left.shape,
                          detail="head width does not match embedding dim")
     h_times = elementwise_multiply(h_left, h_right)
     h_plus = absolute(subtract(h_left, h_right))
-    hidden = sigmoid(add(add(matmul(h_times, transpose(params.w_times)),
-                             matmul(h_plus, transpose(params.w_plus))), params.b_h))
-    p_hat = softmax(add(matmul(hidden, transpose(params.w_p)), params.b_p))
-    bin_values = Tensor(np.arange(1, params.bins + 1, dtype=np.float64))
+    hidden = sigmoid(add(add(matmul(h_times, transpose(w_times)),
+                             matmul(h_plus, transpose(w_plus))), params["cla.b_h"]))
+    p_hat = softmax(add(matmul(hidden, transpose(w_p)), params["cla.b_p"]))
+    bin_values = Tensor(np.arange(1, w_p.shape[0] + 1, dtype=np.float64))
     y_hat = matmul(p_hat, bin_values)
     return p_hat, y_hat
 

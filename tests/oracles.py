@@ -136,16 +136,17 @@ def bilstm_reference_embedding(direction_params, token_vectors, pooling):
     return per_step.max(axis=0)
 
 
-def _tape_lstm_states(direction, steps, h):
-    w = {gate: transpose(direction.w[gate]) for gate in GATES}
-    u = {gate: transpose(direction.u[gate]) for gate in GATES}
+def _tape_lstm_states(params, tag, steps, h):
+    w = {gate: transpose(params[f"enc.{tag}.w_{gate}"]) for gate in GATES}
+    u = {gate: transpose(params[f"enc.{tag}.u_{gate}"]) for gate in GATES}
+    b = {gate: params[f"enc.{tag}.b_{gate}"] for gate in GATES}
     hidden = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
     cell = Tensor(np.zeros(steps[0].shape[:-1] + (h,)))
     states = []
     for x in steps:
         gates = {}
         for gate in GATES:
-            pre = add(add(matmul(x, w[gate]), matmul(hidden, u[gate])), direction.b[gate])
+            pre = add(add(matmul(x, w[gate]), matmul(hidden, u[gate])), b[gate])
             gates[gate] = tanh(pre) if gate == "candidate" else sigmoid(pre)
         cell = add(elementwise_multiply(gates["forget"], cell),
                    elementwise_multiply(gates["input"], gates["candidate"]))
@@ -159,8 +160,8 @@ def tape_bilstm_states(params, token_vectors, hidden_dim):
     a ``select_row`` per step, matmul/add/sigmoid/tanh nodes per gate and
     step, and ``stack`` and ``concat`` around the two directions."""
     rows = [select_row(token_vectors, t) for t in range(token_vectors.shape[0])]
-    fwd = _tape_lstm_states(params.forward, rows, hidden_dim)
-    bwd = list(reversed(_tape_lstm_states(params.backward, rows[::-1], hidden_dim)))
+    fwd = _tape_lstm_states(params, "fw", rows, hidden_dim)
+    bwd = list(reversed(_tape_lstm_states(params, "bw", rows[::-1], hidden_dim)))
     return concat((stack(fwd), stack(bwd)))
 
 

@@ -136,7 +136,7 @@ def test_criterion_1_gradient_fidelity():
     dnt = TransferConfig("DNT", norm_range=(0.0, 1.0), freeze_wem=False)
     model = _grad_model()
     model.apply_freeze_policy(dnt)
-    params = [model.embedding.matrix, *model.encoder_params.tensors()]
+    params = [model.embedding.matrix, *model.encoder_params.values()]
     err_dnt = grad_check(lambda: batch_loss(model, dnt, pairs), params, step=END_TO_END_STEP)
     worst = max(worst, err_dnt)
 
@@ -145,8 +145,8 @@ def test_criterion_1_gradient_fidelity():
         nt = TransferConfig("NT", loss_kind=kind, bins=5, freeze_wem=False)
         model = _grad_model(bins=5)
         model.apply_freeze_policy(nt)
-        params = [model.embedding.matrix, *model.encoder_params.tensors(),
-                  *model.classifier.tensors()]
+        params = [model.embedding.matrix, *model.encoder_params.values(),
+                  *model.classifier.values()]
         errs_eq2[kind] = grad_check(lambda: batch_loss(model, nt, pairs),
                                     params, step=END_TO_END_STEP)
         worst = max(worst, errs_eq2[kind])

@@ -55,6 +55,14 @@ def test_non_finite_value_rejected(tmp_path, value):
         load_checkpoint(path)
 
 
+def test_duplicate_name_rejected(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    one, two = float(1).hex(), float(2).hex()
+    path.write_text(f"simxfer-checkpoint 1\nx 1\n{one}\ny 1\n{one}\nx 1\n{two}\n")
+    with pytest.raises(DataError, match="duplicate checkpoint entry 'x' at line 6"):
+        load_checkpoint(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "absent.ckpt")

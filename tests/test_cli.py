@@ -182,6 +182,31 @@ def test_table_rejects_duplicate_and_unknown_report_keys(tmp_path, capsys, line,
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("test_correlation", "nan"), ("test_correlation", "7.5"), ("test_correlation", "-inf"),
+    ("dev_correlation", "nan"), ("dev_correlation", "-1.5"),
+    ("cell", "inf"), ("cell", "nan"), ("cell", "1.0000001"),
+])
+def test_table_refuses_a_correlation_outside_minus_one_to_one(tmp_path, capsys, field, value):
+    fields = {"cells": [(32, 0.01, 10, float(value))]} if field == "cell" else {field: float(value)}
+    bad = tmp_path / "bad.tsv"
+    write_report(sample_report(setting="UE", **fields), bad)
+    good = tmp_path / "good.tsv"
+    write_report(sample_report(setting="FT-KL", test_correlation=0.5), good)
+    with pytest.raises(DataError, match=r"not in \[-1, 1\]"):
+        parse_report(bad)
+    assert main(["table", str(bad), str(good)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_report_round_trips_the_undefined_correlation(tmp_path):
+    report = sample_report(test_correlation=-1.0, dev_correlation=-1.0,
+                           cells=[(32, 0.01, 10, -1.0), (64, 0.001, 30, 1.0)])
+    path = tmp_path / "r.tsv"
+    write_report(report, path)
+    assert parse_report(path) == report
+
+
 # --- table --------------------------------------------------------------------
 
 
@@ -401,6 +426,10 @@ def test_non_utf8_spec_is_a_spec_error(tmp_path):
     ("train.learning_rates", "inf"),
     ("data.score_lo", "5"),  # equal to data.score_hi
     ("data.score_lo", "nan"),
+    ("train.learning_rates", "0.01, 0.01"),  # would write the same cell line twice
+    ("train.learning_rates", "0.01, 1e-2"),
+    ("train.batch_sizes", "32, 64, 32"),
+    ("train.epoch_budgets", "10, 10"),
 ])
 def test_bad_grid_and_model_values_are_spec_errors(tmp_path, capsys, key, value):
     # every data path is missing, so a check made after loading would exit 2

@@ -1,5 +1,7 @@
 """Tests for dataset parsing and split management."""
 
+import sys
+
 import pytest
 from conftest import FIXTURES_DIR
 
@@ -11,6 +13,7 @@ from simxfer.data import (
     load_sts_benchmark,
     split_dataset,
 )
+from simxfer.embeddings import tokenize
 from simxfer.errors import ContractError, DataError
 
 STS_LINE = "main-captions\tMSRvid\t2012\t1\t5.00\tA man is cooking.\tA man cooks."
@@ -174,6 +177,16 @@ def test_empty_sentences_dropped(tmp_path):
     result = load_generic_tsv(write(tmp_path, text), 0, 4)
     assert len(result.pairs) == 1
     assert result.warnings == 1
+
+
+def test_a_sentence_tokenizes_to_nothing_exactly_when_it_is_all_whitespace():
+    """The loaders skip a pair whose sentence ``strip``s to nothing, which must be
+    the pairs ``tokenize`` gives no tokens.  ``tokenize`` splits the lowercased
+    text on whitespace, and lowercasing maps each code point on its own (final
+    sigma aside, which stays a letter), so checking every code point suffices."""
+    for code in range(sys.maxunicode + 1):
+        c = chr(code)
+        assert (tokenize(c) == []) == (c.strip() == ""), hex(code)
 
 
 def test_loading_is_idempotent(tmp_path):

@@ -28,48 +28,97 @@ from simxfer.autodiff import (
 )
 from simxfer.data import load_generic_tsv
 from simxfer.embeddings import load_embeddings, tokenize
-from simxfer.encoders import EncoderConfig, encode, init_encoder
+from simxfer.encoders import GATES, EncoderConfig, encode, init_encoder
 from simxfer.errors import ContractError, ShapeError
 from simxfer.trainer import batch_loss
 from simxfer.transfer import SimilarityModel, TransferConfig
 
 
-def direction_arrays(direction):
-    weights = {g: t.values for g, t in direction.w.items()}
-    recurrent = {g: t.values for g, t in direction.u.items()}
-    biases = {g: t.values for g, t in direction.b.items()}
-    return weights, recurrent, biases
+def direction_arrays(params, tag):
+    """(weights, recurrent, biases) dicts of one direction, keyed by gate."""
+    return tuple({g: params[f"enc.{tag}.{part}_{g}"].values for g in GATES} for part in "wub")
 
 
 def test_word_average_config_has_no_parameters():
     params = init_encoder(EncoderConfig("word-average", input_dim=4))
-    assert params.tensors() == []
+    assert params == {}
 
 
 def test_bilstm_parameter_shapes():
     config = EncoderConfig("bilstm-avg", input_dim=4, hidden_dim=8, seed=1)
     params = init_encoder(config)
-    for direction in (params.forward, params.backward):
-        assert sorted(direction.w) == ["candidate", "forget", "input", "output"]
-        for gate in direction.w:
-            assert direction.w[gate].shape == (8, 4)
-            assert direction.u[gate].shape == (8, 8)
-            assert direction.b[gate].shape == (8,)
-    assert len(params.tensors()) == 24
+    for tag in ("fw", "bw"):
+        for gate in ("candidate", "forget", "input", "output"):
+            assert params[f"enc.{tag}.w_{gate}"].shape == (8, 4)
+            assert params[f"enc.{tag}.u_{gate}"].shape == (8, 8)
+            assert params[f"enc.{tag}.b_{gate}"].shape == (8,)
+    assert len(params) == 24
+
+
+def test_parameters_are_named_in_the_order_bilstm_takes_them():
+    params = init_encoder(EncoderConfig("bilstm-avg", input_dim=4, hidden_dim=3, seed=1))
+    gates = ("input", "forget", "output", "candidate")
+    assert list(params) == [f"enc.{tag}.{part}_{gate}" for tag in ("fw", "bw")
+                            for part in "wub" for gate in gates]
+    assert all(t.name == name and t.trainable for name, t in params.items())
+    head = transfer.init_classifier(6, bins=4, hidden_width=3, seed=2)
+    assert list(head) == ["cla.w_times", "cla.w_plus", "cla.b_h", "cla.w_p", "cla.b_p"]
+    assert all(t.name == name and t.trainable for name, t in head.items())
+
+
+def test_encode_refuses_parameters_out_of_bilstm_order():
+    config = EncoderConfig("bilstm-avg", input_dim=3, hidden_dim=3, seed=1)
+    params = init_encoder(config)
+    names = list(params)
+    names[0], names[4] = names[4], names[0]  # w_input and u_input: both 3 x 3
+    x = Tensor(np.ones((2, 3)))
+    for bad in ({n: params[n] for n in names}, {n: params[n] for n in names[1:]}, {}):
+        with pytest.raises(ContractError, match="BILSTM_NAMES"):
+            encode(bad, config, x)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_seeded_initial_values_follow_the_draw_order(seed):
+    """Weights are drawn per direction, per gate, W then U; the head draws
+    ``w_times``, ``w_plus``, ``w_p`` in that order."""
+    d, h, e, k, bins = 4, 3, 6, 5, 4
+    params = init_encoder(EncoderConfig("bilstm-max", input_dim=d, hidden_dim=h, seed=seed))
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(h)
+    want = {}
+    for tag in ("fw", "bw"):
+        for gate in ("input", "forget", "output", "candidate"):
+            want[f"enc.{tag}.w_{gate}"] = rng.uniform(-bound, bound, size=(h, d))
+            want[f"enc.{tag}.u_{gate}"] = rng.uniform(-bound, bound, size=(h, h))
+            want[f"enc.{tag}.b_{gate}"] = np.full(h, 1.0 if gate == "forget" else 0.0)
+    assert sorted(params) == sorted(want)
+    for name, t in params.items():
+        assert t.values.tobytes() == want[name].tobytes(), name
+    head = transfer.init_classifier(e, bins=bins, hidden_width=k, seed=seed)
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(e)
+    w_times = rng.uniform(-bound, bound, size=(k, e))
+    w_plus = rng.uniform(-bound, bound, size=(k, e))
+    w_p = rng.uniform(-bound, bound, size=(bins, k))
+    want = {"cla.w_times": w_times, "cla.w_plus": w_plus, "cla.b_h": np.zeros(k),
+            "cla.w_p": w_p, "cla.b_p": np.zeros(bins)}
+    assert sorted(head) == sorted(want)
+    for name, t in head.items():
+        assert t.values.tobytes() == want[name].tobytes(), name
 
 
 def test_same_seed_gives_bitwise_identical_parameters():
     config = EncoderConfig("bilstm-max", input_dim=3, hidden_dim=5, seed=77)
     a = init_encoder(config)
     b = init_encoder(config)
-    for ta, tb in zip(a.tensors(), b.tensors()):
+    for ta, tb in zip(a.values(), b.values()):
         assert np.array_equal(ta.values, tb.values)
 
 
 def test_forget_bias_initialized_to_one():
     params = init_encoder(EncoderConfig("bilstm-avg", input_dim=3, hidden_dim=4, seed=0))
-    assert np.all(params.forward.b["forget"].values == 1.0)
-    assert np.all(params.forward.b["input"].values == 0.0)
+    assert np.all(params["enc.fw.b_forget"].values == 1.0)
+    assert np.all(params["enc.fw.b_input"].values == 0.0)
 
 
 def test_word_average_is_arithmetic_mean():
@@ -86,8 +135,8 @@ def test_single_step_pooling_is_identity(kind):
     x = np.random.default_rng(0).normal(size=(1, 3))
     with Tape():
         pooled = encode(params, config, Tensor(x)).values
-    fw = lstm_reference_states(*direction_arrays(params.forward), [x[0]])[-1]
-    bw = lstm_reference_states(*direction_arrays(params.backward), [x[0]])[-1]
+    fw = lstm_reference_states(*direction_arrays(params, "fw"), [x[0]])[-1]
+    bw = lstm_reference_states(*direction_arrays(params, "bw"), [x[0]])[-1]
     assert np.allclose(pooled, np.concatenate([fw, bw]), atol=1e-12)
 
 
@@ -99,7 +148,7 @@ def test_bilstm_matches_reference_recurrence(kind, pooling):
     with Tape():
         produced = encode(params, config, Tensor(x)).values
     reference = bilstm_reference_embedding(
-        {"fw": direction_arrays(params.forward), "bw": direction_arrays(params.backward)},
+        {"fw": direction_arrays(params, "fw"), "bw": direction_arrays(params, "bw")},
         x, pooling)
     assert np.allclose(produced, reference, atol=1e-10)
 
@@ -131,8 +180,8 @@ def test_max_pooling_dominates_every_step():
     x = np.random.default_rng(6).normal(size=(5, 3))
     with Tape():
         pooled = encode(params, config, Tensor(x)).values
-    fw = lstm_reference_states(*direction_arrays(params.forward), list(x))
-    bw = lstm_reference_states(*direction_arrays(params.backward), list(x)[::-1])[::-1]
+    fw = lstm_reference_states(*direction_arrays(params, "fw"), list(x))
+    bw = lstm_reference_states(*direction_arrays(params, "bw"), list(x)[::-1])[::-1]
     for f, b in zip(fw, bw):
         assert np.all(pooled >= np.concatenate([f, b]) - 1e-12)
 
@@ -147,7 +196,7 @@ def test_gradients_reach_encoder_parameters():
 
         loss = matmul(emb, emb)
     grads = backward(tape, loss)
-    assert any(t in grads and np.any(grads[t] != 0) for t in params.tensors())
+    assert any(t in grads and np.any(grads[t] != 0) for t in params.values())
 
 
 def test_encoding_is_deterministic():
@@ -209,12 +258,13 @@ def test_fused_bilstm_is_bitwise_the_gate_by_gate_graph_on_one_length_group(kind
         return loss, backward(tape, loss)
 
     tokens = lookup_rows(wem, ids)
-    fused = bilstm(tokens, params.forward.tensors(), params.backward.tensors())
+    values = list(params.values())
+    fused = bilstm(tokens, values[:12], values[12:])
     reference = tape_bilstm_states(params, tokens, config.hidden_dim)
     assert fused.values.tobytes() == reference.values.tobytes()
     (loss, grads), (want_loss, want) = run(encode), run(tape_encode)
     assert loss.values.tobytes() == want_loss.values.tobytes()
-    assert set(grads) == set(want) == {wem, *params.tensors()}
+    assert set(grads) == set(want) == {wem, *params.values()}
     for t in want:
         assert dense(grads[t]).tobytes() == dense(want[t]).tobytes(), t.name
 

@@ -32,6 +32,7 @@ FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 # line or paragraph separators, or surrogates
 LINE_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CORRELATION = st.floats(-1.0, 1.0)  # a report refuses any other correlation
 INTS = st.integers(-10**6, 10**6)
 
 
@@ -69,14 +70,14 @@ def reports(draw):
     # each optional field is drawn on its own, so partly set best-cell fields occur
     return ExperimentReport(
         dataset=draw(LINE_TEXT), metric=draw(LINE_TEXT), encoder=draw(LINE_TEXT),
-        setting=draw(LINE_TEXT), test_correlation=draw(FINITE),
-        dev_correlation=draw(st.none() | FINITE),
+        setting=draw(LINE_TEXT), test_correlation=draw(CORRELATION),
+        dev_correlation=draw(st.none() | CORRELATION),
         best_batch_size=draw(st.none() | INTS),
         best_learning_rate=draw(st.none() | FINITE),
         best_max_epochs=draw(st.none() | INTS),
         best_epoch=draw(st.none() | INTS),
         warnings=draw(INTS),
-        cells=draw(st.lists(st.tuples(INTS, FINITE, INTS, FINITE), max_size=4)),
+        cells=draw(st.lists(st.tuples(INTS, FINITE, INTS, CORRELATION), max_size=4)),
     )
 
 

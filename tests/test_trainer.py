@@ -190,10 +190,10 @@ def test_freeze_conservation_smoke():
     model, _ = train(model, ft, as_split("train", pairs), as_split("dev", pairs[:8]), cfg)
     after = model.snapshot()
     assert np.array_equal(before["wem.matrix"], after["wem.matrix"])
-    for name in model.encoder_params.named_tensors():
+    for name in model.encoder_params:
         assert np.array_equal(before[name], after[name])
     assert any(not np.array_equal(before[n], after[n])
-               for n in model.classifier.named_tensors())
+               for n in model.classifier)
 
 
 def _history_fields(history):
@@ -256,7 +256,7 @@ def test_train_snapshots_trainable_tensors_only_when_a_later_epoch_may_need_them
     improved = [e for e in range(len(corrs)) if corrs[e] > max(corrs[:e], default=-np.inf)]
     # a frozen matrix and encoder are never copied, nor is the model after the last epoch
     assert len(taken) == len([e for e in improved if e + 1 < max_epochs])
-    assert all(sorted(snap) == sorted(model.classifier.named_tensors()) for snap in taken)
+    assert all(sorted(snap) == sorted(model.classifier) for snap in taken)
     assert len(restored) == (history.best_epoch + 1 < history.epochs_run)
     if restored:
         assert restored[0] is taken[-1]
@@ -399,6 +399,14 @@ def test_grid_cells_ordered_for_tie_break():
                       epoch_budgets=(30, 10)).cells()
     key = [(c.learning_rate, c.batch_size, c.max_epochs) for c in cells]
     assert key == sorted(key)
+
+
+@pytest.mark.parametrize("field", ["batch_sizes", "learning_rates", "epoch_budgets"])
+def test_grid_refuses_a_repeated_value(field):
+    repeated = {"batch_sizes": (32, 64, 32), "learning_rates": (0.01, 0.01),
+                "epoch_budgets": (10, 30, 10)}[field]
+    with pytest.raises(ContractError, match="must not repeat"):
+        HyperGrid(**{field: repeated}).cells()
 
 
 def fake_grid_search(monkeypatch, outcomes, on_train=None):

@@ -15,12 +15,11 @@ from simxfer import autodiff
 from simxfer.autodiff import Tape, Tensor, grad_check, lookup_rows, softmax
 from simxfer.data import ScoredPair
 from simxfer.embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, load_embeddings, tokenize
-from simxfer.encoders import EncoderConfig, encode, init_encoder
+from simxfer.encoders import GATES, EncoderConfig, encode, init_encoder
 from simxfer.errors import ContractError, DataError, NumericError, ShapeError
 from simxfer.transfer import (
     SCORE_SLICE,
     SETTINGS,
-    ClassifierParameters,
     PairTable,
     SimilarityModel,
     TransferConfig,
@@ -121,13 +120,10 @@ def test_sparse_target_identity_property(rng):
 
 
 def zero_classifier(e=4, k=3, bins=5):
-    return ClassifierParameters(
-        w_times=Tensor(np.zeros((k, e)), trainable=True, name="cla.w_times"),
-        w_plus=Tensor(np.zeros((k, e)), trainable=True, name="cla.w_plus"),
-        b_h=Tensor(np.zeros(k), trainable=True, name="cla.b_h"),
-        w_p=Tensor(np.zeros((bins, k)), trainable=True, name="cla.w_p"),
-        b_p=Tensor(np.zeros(bins), trainable=True, name="cla.b_p"),
-    )
+    shapes = {"cla.w_times": (k, e), "cla.w_plus": (k, e), "cla.b_h": (k,),
+              "cla.w_p": (bins, k), "cla.b_p": (bins,)}
+    return {name: Tensor(np.zeros(shape), trainable=True, name=name)
+            for name, shape in shapes.items()}
 
 
 def test_zero_classifier_predicts_midpoint():
@@ -140,7 +136,7 @@ def test_zero_classifier_predicts_midpoint():
 
 def test_one_hot_distribution_predicts_top_bin():
     params = zero_classifier()
-    params.b_p.values = np.array([0.0, 0, 0, 0, 1000.0])
+    params["cla.b_p"].values = np.array([0.0, 0, 0, 0, 1000.0])
     with Tape():
         p_hat, y_hat = classifier_forward(Tensor([1.0, 0, 0, 0]), Tensor([1.0, 0, 0, 0]), params)
     assert p_hat.values.tolist() == [0, 0, 0, 0, 1]
@@ -153,7 +149,8 @@ def test_identical_embeddings_zero_difference_feature():
     with Tape():
         p_same, _ = classifier_forward(h, h, params)
     # absolute-difference path contributes nothing; only w_times and biases matter
-    params.w_plus.values = np.random.default_rng(0).normal(size=params.w_plus.shape)
+    w_plus = params["cla.w_plus"]
+    w_plus.values = np.random.default_rng(0).normal(size=w_plus.shape)
     with Tape():
         p_again, _ = classifier_forward(h, h, params)
     assert np.allclose(p_same.values, p_again.values, atol=1e-15)
@@ -274,7 +271,7 @@ def test_ue_predicts_one_for_identical_sentences():
 
 def test_ft_zero_head_predicts_midpoint():
     model = toy_model(classifier_bins=5)
-    for t in model.classifier.tensors():
+    for t in model.classifier.values():
         t.values = np.zeros_like(t.values)
     config = TransferConfig("FT", loss_kind="MSE", bins=5)
     assert predict(config, model, pair("a b", "c d")) == pytest.approx(3.0, abs=1e-12)
@@ -303,11 +300,9 @@ def _reference_embedding(model, text):
         [model.vocabulary.index.get(t, UNK_INDEX) for t in tokenize(text)]]
     if model.encoder_config.kind == "word-average":
         return vectors.mean(axis=0)
-    params = {}
-    for tag, direction in (("fw", model.encoder_params.forward),
-                           ("bw", model.encoder_params.backward)):
-        params[tag] = tuple({g: t.values for g, t in table.items()}
-                            for table in (direction.w, direction.u, direction.b))
+    enc = model.encoder_params
+    params = {tag: tuple({g: enc[f"enc.{tag}.{part}_{g}"].values for g in GATES} for part in "wub")
+              for tag in ("fw", "bw")}
     return bilstm_reference_embedding(params, vectors, model.encoder_config.kind[len("bilstm-"):])
 
 
@@ -494,5 +489,5 @@ def test_apply_freeze_policy_sets_flags():
     model = toy_model(kind="bilstm-avg", hidden=3, classifier_bins=5)
     model.apply_freeze_policy(TransferConfig("NT", loss_kind="MSE", bins=5, freeze_wem=True))
     assert not model.embedding.matrix.trainable
-    assert all(t.trainable for t in model.encoder_params.tensors())
-    assert all(t.trainable for t in model.classifier.tensors())
+    assert all(t.trainable for t in model.encoder_params.values())
+    assert all(t.trainable for t in model.classifier.values())
