@@ -20,7 +20,7 @@ from .autodiff import (
 from .data import DatasetSplit, ScoredPair, load_generic_tsv, load_sick, load_sts_benchmark, split_dataset
 from .embeddings import EmbeddingMatrix, Vocabulary, load_embeddings, tokenize
 from .encoders import EncoderConfig, encode, init_encoder
-from .metrics import EvaluationResult, pearson, spearman
+from .metrics import pearson, spearman
 from .trainer import (
     AdamState,
     HyperGrid,

@@ -39,6 +39,7 @@ from .trainer import (
     DEFAULT_EPOCH_BUDGETS,
     DEFAULT_LEARNING_RATES,
     HyperGrid,
+    TrainingConfig,
     evaluate_split,
     grid_search,
 )
@@ -300,6 +301,15 @@ def parse_report(path) -> ExperimentReport:
     for corr in (report.test_correlation, report.dev_correlation, *(c[3] for c in cells)):
         if corr is not None and not -1.0 <= corr <= 1.0:  # NaN fails too
             raise DataError(f"{path}: correlation {corr} is not in [-1, 1]")
+    best = (report.best_batch_size, report.best_learning_rate, report.best_max_epochs)
+    for batch, lr, epochs in [c[:3] for c in cells] + ([best] if best != (None,) * 3 else []):
+        try:
+            TrainingConfig(batch, lr, epochs)
+        except (ContractError, TypeError):  # TypeError: a partial best_* triple
+            raise DataError(f"{path}: no run trains with batch size {batch}, "
+                            f"learning rate {lr} and {epochs} epochs") from None
+    if report.warnings < 0 or (report.best_epoch or 0) < 0:
+        raise DataError(f"{path}: warnings and best_epoch must be non-negative")
     return report
 
 

@@ -13,8 +13,6 @@ class ShapeError(SimxferError):
     """Operands do not conform to an operation's shape rule."""
 
     def __init__(self, op: str, *shapes, detail: str = ""):
-        self.op = op
-        self.shapes = tuple(shapes)
         msg = f"{op}: incompatible shapes {' and '.join(str(s) for s in shapes)}"
         if detail:
             msg += f" ({detail})"

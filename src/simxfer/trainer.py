@@ -188,7 +188,7 @@ def evaluate_split(model: SimilarityModel, config: TransferConfig,
                    pairs: list[ScoredPair] | PairTable, metric: str) -> float:
     """Correlation of raw predictions against raw annotated scores."""
     table = pairs if isinstance(pairs, PairTable) else PairTable(model, pairs)
-    return correlation(metric, predict_pairs(config, model, table), table.scores).coefficient
+    return correlation(metric, predict_pairs(config, model, table), table.scores)
 
 
 class PreparedSplits:

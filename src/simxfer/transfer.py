@@ -239,15 +239,14 @@ def embed_pairs(model: SimilarityModel, table: PairTable) -> tuple[Tensor, Tenso
 
 
 def normalize_score(y: float, source_range: tuple[float, float],
-                    target_range: tuple[float, float], context: str = "") -> float:
+                    target_range: tuple[float, float]) -> float:
     """Affine, monotone-increasing map of y from source_range to target_range."""
     lo, hi = source_range
     tlo, thi = target_range
     if hi <= lo or thi <= tlo:
         raise ContractError("score ranges must have positive width")
     if not lo - 1e-9 <= y <= hi + 1e-9:  # NaN fails too
-        where = f" ({context})" if context else ""
-        raise DataError(f"score {y} outside declared range [{lo}, {hi}]{where}")
+        raise DataError(f"score {y} outside declared range [{lo}, {hi}]")
     y = min(max(y, lo), hi)
     return tlo + (y - lo) * (thi - tlo) / (hi - lo)
 
@@ -359,10 +358,9 @@ def predict(config: TransferConfig, model: SimilarityModel, pair) -> float:
     return predict_pairs(config, model, PairTable(model, [pair]))[0]
 
 
-def rescale_to_bins(score: float, score_range: tuple[float, float], bins: int,
-                    context: str = "") -> float:
+def rescale_to_bins(score: float, score_range: tuple[float, float], bins: int) -> float:
     """Affine map of an annotated score into the classifier's [1, K] range."""
-    return normalize_score(score, score_range, (1.0, float(bins)), context=context)
+    return normalize_score(score, score_range, (1.0, float(bins)))
 
 
 def pair_targets(config: TransferConfig, pairs: Sequence) -> np.ndarray:

@@ -323,7 +323,7 @@ def reference_train(model, config, train_pairs, dev_pairs, metric, training_conf
                                              dev_pairs[start : start + SCORE_SLICE])[1].values)
         try:
             dev_corr = correlation(metric, [float(y) for y in predictions],
-                                   [p.score for p in dev_pairs]).coefficient
+                                   [p.score for p in dev_pairs])
         except NumericError:
             dev_corr = UNDEFINED_CORRELATION
         history.dev_correlations.append(dev_corr)

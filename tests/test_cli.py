@@ -207,6 +207,36 @@ def test_report_round_trips_the_undefined_correlation(tmp_path):
     assert parse_report(path) == report
 
 
+@pytest.mark.parametrize("fields", [
+    {"best_batch_size": -4, "best_learning_rate": float("nan"), "warnings": -3,
+     "cells": [(-4, float("nan"), 0, 0.5)]},
+    {"best_batch_size": -4}, {"best_learning_rate": float("nan")}, {"best_max_epochs": 0},
+    {"best_learning_rate": None}, {"warnings": -3}, {"best_epoch": -1},
+    {"cells": [(-4, float("nan"), 0, 0.5)]}, {"cells": [(32, 0.01, 0, 0.5)]},
+    {"cells": [(32, float("inf"), 10, 0.5)]},
+])
+def test_table_refuses_a_report_no_run_writes(tmp_path, capsys, fields):
+    bad = tmp_path / "bad.tsv"
+    write_report(sample_report(**fields), bad)
+    with pytest.raises(DataError):
+        parse_report(bad)
+    assert main(["table", str(bad)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_a_perfect_two_pair_eval_is_read_back_by_table(tmp_path):
+    # these two pairs' cosines and scores give a Pearson r that rounds to
+    # 1 + 2**-52 unless the coefficient is clamped to [-1, 1]
+    lines = (FIXTURES_DIR / "activity_pairs_test.tsv").read_text(encoding="utf-8").splitlines()
+    test = tmp_path / "two.tsv"
+    test.write_text(f"{lines[0]}\n{lines[36]}\n", encoding="utf-8")
+    out = tmp_path / "ue.tsv"
+    spec = write_spec(tmp_path, **{"data.test": str(test)})
+    assert main(["eval", "--spec", str(spec), "--out", str(out)]) == 0
+    assert "test_correlation\t1.0\n" in out.read_text(encoding="utf-8")
+    assert main(["table", str(out)]) == 0
+
+
 # --- table --------------------------------------------------------------------
 
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_force_pearson, brute_force_spearman
+from oracles import brute_force_average_ranks, brute_force_pearson, brute_force_spearman
 
 from simxfer.errors import ContractError, NumericError
-from simxfer.metrics import EvaluationResult, correlation, pearson, spearman
+from simxfer.metrics import _average_ranks, correlation, pearson, spearman
 
 
 def test_pearson_perfect_positive():
@@ -117,9 +117,8 @@ def test_length_contracts():
 
 def test_correlation_wrapper():
     result = correlation("pearson", [1, 2, 3], [2, 4, 6])
-    assert isinstance(result, EvaluationResult)
-    assert result.coefficient == pytest.approx(1.0)
-    assert result.n == 3
+    assert type(result) is float
+    assert result == pytest.approx(1.0)
     with pytest.raises(ContractError):
         correlation("kendall", [1, 2], [1, 2])
 
@@ -133,8 +132,35 @@ def test_non_finite_input_is_a_numeric_error(metric, bad):
         correlation(metric, [1, 2, 3], [1, bad, 3])
 
 
-def test_evaluation_result_invariants():
-    with pytest.raises(NumericError):
-        EvaluationResult("pearson", 1.5, 10)
-    with pytest.raises(ContractError):
-        EvaluationResult("pearson", 0.5, 1)
+@pytest.mark.parametrize("coefficient", [pearson, spearman])
+@pytest.mark.parametrize("n", [3, 7, 100])
+@pytest.mark.parametrize("value", [0.1, 0.7])
+def test_constant_input_is_a_numeric_error(coefficient, n, value):
+    # sum([0.1] * 3) / 3 rounds away from 0.1, so the deviations from the
+    # mean are tiny but not zero: constancy is an exact test on the entries
+    gold = list(range(n))
+    with pytest.raises(NumericError, match="constant"):
+        coefficient([value] * n, gold)
+    with pytest.raises(NumericError, match="constant"):
+        coefficient(gold, [value] * n)
+
+
+@pytest.mark.parametrize("coefficient", [pearson, spearman])
+def test_correlation_never_leaves_minus_one_to_one(coefficient):
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        x = rng.normal(size=2) * 10.0 ** rng.integers(-8, 8)
+        y = rng.normal(size=2)
+        assert -1.0 <= coefficient(x, y) <= 1.0
+    for _ in range(500):
+        x = rng.normal(size=int(rng.integers(2, 30)))
+        a, b = rng.normal(size=2)
+        assert abs(coefficient(x, a * x + b)) <= 1.0
+
+
+def test_average_ranks_match_brute_force_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        x = np.round(rng.normal(size=int(rng.integers(1, 80))), int(rng.integers(0, 3)))
+        x[rng.uniform(size=x.size) < 0.1] = -0.0  # -0.0 ties with 0.0
+        assert _average_ranks(x).tobytes() == brute_force_average_ranks(x).tobytes()

@@ -33,7 +33,10 @@ FEW = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 LINE_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CORRELATION = st.floats(-1.0, 1.0)  # a report refuses any other correlation
-INTS = st.integers(-10**6, 10**6)
+COUNT = st.integers(0, 10**6)
+# a report refuses any other batch size, learning rate and epoch budget
+POSITIVE = st.integers(1, 10**6)
+RATE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 
 
 def _scratch_file(tmp_path_factory):
@@ -67,17 +70,15 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, tensors):
 
 @st.composite
 def reports(draw):
-    # each optional field is drawn on its own, so partly set best-cell fields occur
+    best = draw(st.none() | st.tuples(POSITIVE, RATE, POSITIVE)) or (None,) * 3
     return ExperimentReport(
         dataset=draw(LINE_TEXT), metric=draw(LINE_TEXT), encoder=draw(LINE_TEXT),
         setting=draw(LINE_TEXT), test_correlation=draw(CORRELATION),
         dev_correlation=draw(st.none() | CORRELATION),
-        best_batch_size=draw(st.none() | INTS),
-        best_learning_rate=draw(st.none() | FINITE),
-        best_max_epochs=draw(st.none() | INTS),
-        best_epoch=draw(st.none() | INTS),
-        warnings=draw(INTS),
-        cells=draw(st.lists(st.tuples(INTS, FINITE, INTS, CORRELATION), max_size=4)),
+        best_batch_size=best[0], best_learning_rate=best[1], best_max_epochs=best[2],
+        best_epoch=draw(st.none() | COUNT),
+        warnings=draw(COUNT),
+        cells=draw(st.lists(st.tuples(POSITIVE, RATE, POSITIVE, CORRELATION), max_size=4)),
     )
 
 

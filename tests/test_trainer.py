@@ -13,6 +13,7 @@ from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs
 from simxfer import autodiff as ad
 from simxfer import trainer, transfer
 from simxfer.autodiff import Tape, Tensor, backward, matmul, subtract
+from simxfer.data import ScoredPair
 from simxfer.embeddings import EmbeddingMatrix
 from simxfer.encoders import init_encoder
 from simxfer.errors import ContractError, NumericError
@@ -342,6 +343,28 @@ def test_constant_dev_predictions_treated_as_minus_one():
     cfg = TrainingConfig(batch_size=4, learning_rate=0.001, max_epochs=2, patience=5, seed=5)
     model, history = train(model, DNT, as_split("train", pairs), as_split("dev", same), cfg)
     assert history.dev_correlations == [-1.0, -1.0]
+
+
+FT_KL = TransferConfig("FT", loss_kind="KL", bins=5)
+# every sentence is out of vocabulary, so an FT head sees one feature vector
+# and predicts one value for all pairs; its mean rounds, so the deviations
+# from it are about 1e-16 and not zero
+OOV_PAIRS = [ScoredPair(f"oov{i} zz{i}", f"qq{i}", 0.8 * (i % 6), (0.0, 5.0)) for i in range(7)]
+
+
+def test_evaluate_split_refuses_constant_predictions():
+    model = make_model(kind="word-average", dim=4, bins=5, hidden_width=5, seed=1)
+    with pytest.raises(NumericError, match="constant input"):
+        evaluate_split(model, FT_KL, OOV_PAIRS, "pearson")
+
+
+def test_constant_dev_predictions_never_beat_the_first_epoch():
+    model = make_model(kind="word-average", dim=4, bins=5, hidden_width=5, seed=0)
+    cfg = TrainingConfig(batch_size=4, learning_rate=0.01, max_epochs=3, patience=5, seed=5)
+    _, history = train(model, FT_KL, as_split("train", random_pairs(12, seed=42)),
+                       as_split("dev", OOV_PAIRS), cfg)
+    assert history.dev_correlations == [trainer.UNDEFINED_CORRELATION] * 3
+    assert history.best_epoch == 0
 
 
 def test_batch_loss_matches_manual_dnt(rng):
