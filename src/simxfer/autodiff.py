@@ -5,8 +5,10 @@ Inside ``with Tape():`` each primitive application is recorded as a node
 is recorded, so forward-only passes keep no graph.  ``backward`` walks
 the nodes in reverse, keying adjoints by the tensor objects, and returns
 the gradients of the trainable leaves; it skips every node that no
-trainable leaf feeds.  Tensors hold no reference to a tape, so a tape and
-everything it saved is freed as soon as the caller drops it.
+trainable leaf feeds, and tells each backward kernel which input adjoints
+it keeps, so ``matmul`` and ``bilstm`` compute none of the others.  Tensors
+hold no reference to a tape, so a tape and everything it saved is freed as
+soon as the caller drops it.
 
 A trainable matrix reached only through ``lookup_rows`` gets a
 ``RowSparse`` gradient: the sorted rows the lookups read and one adjoint
@@ -22,9 +24,11 @@ Primitives act on a leading batch axis: ``add``, ``subtract`` and
 ``softmax`` and ``cosine`` work along the last axis, and ``concat``,
 ``stack``, ``select_row`` and the axis reductions accept any rank.  So one
 graph serves one vector or a whole batch of rows.  ``bilstm`` is one node
-for a whole bidirectional LSTM over T x d or T x n x d token vectors; its
-kernels hold the recurrence and its backpropagation through time, with
-the arithmetic of the same LSTM built from the other primitives.
+for a whole bidirectional LSTM over n sentences of any lengths, their token
+vectors packed step-major; its kernels hold the recurrence and its
+backpropagation through time, with the arithmetic of the same LSTM built
+from the other primitives.  Given the sentences' lengths, the mean and max
+over axis 0 pool each sentence's own steps of its T x n x 2h output.
 """
 
 from __future__ import annotations
@@ -140,7 +144,9 @@ class Tape:
 
 # ---------------------------------------------------------------------------
 # forward kernels: fn(values, attrs) -> (output ndarray, saved dict)
-# backward kernels: fn(node, out_grad) -> tuple of input adjoints (None = skip)
+# backward kernels: fn(node, out_grad, keep) -> tuple of input adjoints, where
+# keep[i] says whether backward uses input i's (None = skip; a kernel may skip
+# one that is not kept)
 # ---------------------------------------------------------------------------
 
 
@@ -172,37 +178,36 @@ def _fwd_matmul(values, attrs):
     return np.matmul(a, b), {}
 
 
-def _matmul_adjoints(a, b, g):
-    """Adjoints of ``a @ b`` for 1-D or 2-D operands, given the output adjoint ``g``."""
+def _bwd_matmul(node, g, keep):
+    """Adjoints of ``a @ b`` for 1-D or 2-D operands; only those ``keep`` asks for."""
+    a, b = (t.values for t in node.inputs)
     if a.ndim == 1 and b.ndim == 1:  # dot -> scalar
-        return g * b, g * a
-    if a.ndim == 2 and b.ndim == 1:  # (m,n)@(n,) -> (m,)
-        return np.outer(g, b), a.T @ g
-    if a.ndim == 1 and b.ndim == 2:  # (n,)@(n,p) -> (p,)
-        return b @ g, np.outer(a, g)
-    return g @ b.T, a.T @ g
+        adjoints = (lambda: g * b, lambda: g * a)
+    elif b.ndim == 1:  # (m,n)@(n,) -> (m,)
+        adjoints = (lambda: np.outer(g, b), lambda: a.T @ g)
+    elif a.ndim == 1:  # (n,)@(n,p) -> (p,)
+        adjoints = (lambda: b @ g, lambda: np.outer(a, g))
+    else:
+        adjoints = (lambda: g @ b.T, lambda: a.T @ g)
+    return tuple(adjoint() if kept else None for adjoint, kept in zip(adjoints, keep))
 
 
-def _bwd_matmul(node, g):
-    return _matmul_adjoints(*(t.values for t in node.inputs), g)
-
-
-def _bwd_add(node, g):
+def _bwd_add(node, g, keep):
     a, b = node.inputs
     return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
-def _bwd_subtract(node, g):
+def _bwd_subtract(node, g, keep):
     a, b = node.inputs
     return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
 
-def _bwd_multiply(node, g):
+def _bwd_multiply(node, g, keep):
     a, b = (t.values for t in node.inputs)
     return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
 
-def _bwd_absolute(node, g):
+def _bwd_absolute(node, g, keep):
     return (g * np.sign(node.inputs[0].values),)
 
 
@@ -215,27 +220,27 @@ def _fwd_sigmoid(values, attrs):
     return _sigmoid(values[0]), {}
 
 
-def _bwd_sigmoid(node, g):
+def _bwd_sigmoid(node, g, keep):
     s = node.output.values
     return (g * s * (1.0 - s),)
 
 
-def _bwd_tanh(node, g):
+def _bwd_tanh(node, g, keep):
     t = node.output.values
     return (g * (1.0 - t * t),)
 
 
-def _bwd_transpose(node, g):
+def _bwd_transpose(node, g, keep):
     return (g.T,)
 
 
-def _bwd_concat(node, g):
+def _bwd_concat(node, g, keep):
     axis = node.attrs["axis"]
     ends = np.cumsum([t.values.shape[axis] for t in node.inputs])
     return tuple(np.split(g, ends[:-1], axis=axis))
 
 
-def _bwd_stack(node, g):
+def _bwd_stack(node, g, keep):
     return tuple(g[i] for i in range(len(node.inputs)))
 
 
@@ -247,7 +252,7 @@ def _fwd_select_row(values, attrs):
     return a[row].copy(), {}
 
 
-def _bwd_select_row(node, g):
+def _bwd_select_row(node, g, keep):
     out = np.zeros_like(node.inputs[0].values)
     out[node.attrs["row"]] = g
     return (out,)
@@ -261,7 +266,7 @@ def _fwd_lookup(values, attrs):
     return m[idx], {}
 
 
-def _bwd_lookup(node, g):
+def _bwd_lookup(node, g, keep):
     matrix = node.inputs[0]
     indices = node.attrs["indices"]
     if not matrix.trainable:  # a gathered intermediate: small and dense
@@ -280,28 +285,47 @@ def _check_axis(op: str, a: np.ndarray, axis: int) -> None:
         raise ShapeError(op, a.shape, detail=f"axis {axis}")
 
 
+def _steps_mask(op: str, a: np.ndarray, axis: int, lengths: np.ndarray) -> np.ndarray:
+    """True at the entries a[t, r, ...] with t < lengths[r], in a shape that broadcasts to a's."""
+    if (axis != 0 or a.ndim < 2 or lengths.shape != a.shape[1:2]
+            or not np.all((lengths >= 1) & (lengths <= len(a)))):
+        raise ShapeError(op, a.shape, lengths.shape, detail="lengths needs axis 0 and one "
+                         "length in 1..T per column of a T x n (x e) input")
+    mask = np.arange(len(a))[:, None] < lengths
+    return mask.reshape(mask.shape + (1,) * (a.ndim - 2))
+
+
 def _fwd_mean(values, attrs):
     (a,) = values
-    axis = attrs["axis"]
+    axis, lengths = attrs["axis"], attrs.get("lengths")
     _check_axis("mean_over_axis", a, axis)
-    return a.mean(axis=axis), {}
+    if lengths is None:
+        return a.mean(axis=axis), {}
+    mask = _steps_mask("mean_over_axis", a, axis, lengths)
+    # the steps in order, the rest +0.0 after them: bitwise the mean of each column's own steps
+    return np.where(mask, a, 0.0).sum(axis=0) / mask.sum(axis=0), {"mask": mask}
 
 
-def _bwd_mean(node, g):
+def _bwd_mean(node, g, keep):
     a = node.inputs[0].values
     axis = node.attrs["axis"]
+    if "mask" in node.saved:
+        mask = node.saved["mask"]
+        return (np.where(mask, g / mask.sum(axis=0), 0.0),)
     n = a.shape[axis]
     return (np.broadcast_to(np.expand_dims(g, axis), a.shape) / n,)
 
 
 def _fwd_max(values, attrs):
     (a,) = values
-    axis = attrs["axis"]
+    axis, lengths = attrs["axis"], attrs.get("lengths")
     _check_axis("max_over_axis", a, axis)
+    if lengths is not None:
+        a = np.where(_steps_mask("max_over_axis", a, axis, lengths), a, -np.inf)
     return a.max(axis=axis), {"argmax": a.argmax(axis=axis)}
 
 
-def _bwd_max(node, g):
+def _bwd_max(node, g, keep):
     axis = node.attrs["axis"]
     out = np.zeros_like(node.inputs[0].values)
     np.put_along_axis(out, np.expand_dims(node.saved["argmax"], axis),
@@ -317,12 +341,12 @@ def _fwd_softmax(values, attrs):
     return e / e.sum(axis=-1, keepdims=True), {}
 
 
-def _bwd_softmax(node, g):
+def _bwd_softmax(node, g, keep):
     s = node.output.values
     return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
 
-def _bwd_scale(node, g):
+def _bwd_scale(node, g, keep):
     return (g * node.attrs["factor"],)
 
 
@@ -333,7 +357,7 @@ def _fwd_log(values, attrs):
     return np.log(a), {}
 
 
-def _bwd_log(node, g):
+def _bwd_log(node, g, keep):
     return (g / node.inputs[0].values,)
 
 
@@ -350,7 +374,7 @@ def _fwd_cosine(values, attrs):
     return out, {"degenerate": degenerate, "nu": nu, "nv": nv}
 
 
-def _bwd_cosine(node, g):
+def _bwd_cosine(node, g, keep):
     u, v = (t.values for t in node.inputs)
     nu, nv = node.saved["nu"][..., None], node.saved["nv"][..., None]
     du = np.maximum(nu, NORM_GUARD)
@@ -363,92 +387,124 @@ def _bwd_cosine(node, g):
     return g * gu, g * gv
 
 
-# bilstm: one length group's bidirectional LSTM recurrence as one node.  Each
+# bilstm: a bidirectional LSTM over n sentences as one node.  The tokens come
+# packed step-major, the layout of cuDNN and of PyTorch's pack_padded_sequence:
+# the lengths never increase, so the sentences still running at step t are the
+# first k_t, and the next k_t token rows hold their token t, in that order.
+# The backward direction takes each sentence in at its own last token, with a
+# zero state, and no padded step runs.  Each gate multiplies all the tokens at once
+# (X @ W.T) before the recurrence, and after it takes W's and the tokens'
+# adjoints in one product each (Appleyard, Kocisky and Blunsom 2016).  Each
 # direction's 12 tensors are W (h x d), U (h x h) and b (h) of the input,
 # forget and output gates and the candidate, in that order.  The forward pass
-# runs, per gate and step, the numpy operations of the same LSTM built gate by
-# gate from the other primitives (``tests/oracles.py::tape_bilstm_states``:
-# transposes, matmul, add, sigmoid/tanh, multiply) in its order; the backward
-# pass adds every adjoint in the order that graph's reverse walk adds it.  So
-# both are bitwise those of the gate-by-gate graph, save that a bias read by
-# several bilstm nodes gets one partial sum per node, where that graph kept
-# one running sum over all of them.
+# runs the numpy operations of the same network built gate by gate from the
+# other primitives (``tests/oracles.py::tape_packed_bilstm``) in its order,
+# and the backward pass adds every adjoint in the order that graph's reverse
+# walk adds it, so both are bitwise that graph's.
 
 
 def _fwd_bilstm(values, attrs):
-    # C-contiguous steps, so each step's matmuls take the BLAS path they take on a row copy
-    tokens, params = np.ascontiguousarray(values[0]), values[1:]
+    tokens, params, lengths = values[0], values[1:], attrs["lengths"]
+    if lengths.ndim != 1 or not len(lengths) or lengths[-1] < 1 or np.any(np.diff(lengths) > 0):
+        raise ContractError("bilstm needs positive sentence lengths that never increase")
     h = params[8].shape[0] if len(params) == 24 and params[8].ndim == 1 else None
-    d = tokens.shape[-1] if tokens.ndim in (2, 3) and len(tokens) else None
+    d = tokens.shape[1] if tokens.ndim == 2 else None
     shapes = [p.shape for p in params]
-    if shapes != ([(h, d)] * 4 + [(h, h)] * 4 + [(h,)] * 4) * 2:
+    if shapes != ([(h, d)] * 4 + [(h, h)] * 4 + [(h,)] * 4) * 2 or len(tokens) != lengths.sum():
         raise ShapeError("bilstm", tokens.shape, *dict.fromkeys(shapes),
-                         detail="tokens T x d or T x n x d with T >= 1; per direction "
+                         detail="tokens packed as sum(lengths) x d; per direction "
                                 "4 W of h x d, 4 U of h x h, 4 b of h")
-    xs = list(tokens)
-    fw = _lstm_steps(xs, params[:12])
-    bw = _lstm_steps(xs[::-1], params[12:])
-    states = (np.stack([step[-1] for step in fw]), np.stack([step[-1] for step in bw[::-1]]))
-    return np.concatenate(states, axis=-1), {"fw": fw, "bw": bw}
+    sizes = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()  # k_t
+    starts = [0, *np.cumsum(sizes[:-1]).tolist()]
+    fw = _lstm_steps(tokens, params[:12], sizes, starts)
+    bw = _lstm_steps(tokens, params[12:], sizes[::-1], starts[::-1])
+    out = np.zeros((len(sizes), len(lengths), 2 * h))
+    for t, k in enumerate(sizes):
+        out[t, :k, :h] = fw[t][-1]
+        out[t, :k, h:] = bw[-1 - t][-1]
+    return out, {"fw": fw, "bw": bw, "sizes": sizes, "starts": starts}
 
 
-def _lstm_steps(xs, params):
-    """One direction over the step inputs ``xs`` in order, from a zero state:
-    per step (x, h_prev, c_prev, i, f, o, g, tanh c, h)."""
+def _lstm_steps(tokens, params, sizes, starts):
+    """One direction over the steps of ``sizes`` running sentences whose token
+    rows begin at ``starts``, each sentence from a zero state: per step
+    (h_prev, c_prev, i, f, o, g, tanh c, h)."""
     w, u, b = params[:4], params[4:8], params[8:]
-    h = np.zeros(xs[0].shape[:-1] + u[0].shape[:1])
-    c = np.zeros(h.shape)
+    xw = [tokens @ wk.T for wk in w]
+    h = c = np.zeros((0, len(b[0])))
     steps = []
-    for x in xs:
-        pre = [(x @ wk.T + h @ uk.T) + bk for wk, uk, bk in zip(w, u, b)]
+    for k, start in zip(sizes, starts):
+        h_prev, c_prev = _resized(h, k), _resized(c, k)
+        pre = [(xk[start:start + k] + h_prev @ uk.T) + bk for xk, uk, bk in zip(xw, u, b)]
         i, f, o = (_sigmoid(p) for p in pre[:3])
         g = np.tanh(pre[3])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        h_new = o * tc
-        steps.append((x, h, c, i, f, o, g, tc, h_new))
-        h, c = h_new, c_new
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((h_prev, c_prev, i, f, o, g, tc, h))
     return steps
 
 
-def _lstm_steps_backward(steps, params, g_out, dxs):
-    """One direction's 12 tensor adjoints from its per-step state adjoints
-    ``g_out``; adds each step input's adjoint into ``dxs`` (None = none yet)."""
-    w, u, b = params[:4], params[4:8], params[8:]
-    dw, du, db = [None] * 4, [None] * 4, [None] * 4
+def _resized(a, k):
+    """The first k rows of a state, or all of it and a zero state for each sentence that starts."""
+    return a[:k] if k <= len(a) else np.concatenate((a, np.zeros((k - len(a), a.shape[1]))))
+
+
+def _resized_adjoint(g, n):
+    """The adjoint of an n-row state from the adjoint ``g`` of ``_resized(state, len(g))``."""
+    if len(g) >= n:
+        return g[:n]
+    out = np.zeros((n, g.shape[1]))
+    out[:len(g)] += g  # 0.0 + g, as the gate graph's row gather adds it
+    return out
+
+
+def _lstm_steps_backward(steps, u, g_out, starts, n_tokens):
+    """One direction's adjoints from its steps' state adjoints ``g_out``: the
+    four gates' pre-activation adjoints, packed like the tokens, and U's and b's."""
+    dz = [np.zeros((n_tokens, len(uk))) for uk in u]
+    du, db = [None] * 4, [None] * 4
     dh, dc = g_out[-1], None
     for s in range(len(steps) - 1, -1, -1):
-        x, h_prev, c_prev, i, f, o, g, tc, _ = steps[s]
+        h_prev, c_prev, i, f, o, g, tc, _ = steps[s]
         dc_tanh = dh * o * (1.0 - tc * tc)
         dc = dc_tanh if dc is None else dc + dc_tanh
         d_pre = (dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
                  dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g))
-        dh = g_out[s - 1] if s else None  # the zero initial state gets no adjoint
+        dh_prev = None
         for k in (3, 2, 1, 0):  # candidate first: the reverse of recording order
             dp = d_pre[k]
-            db_k = _unbroadcast(dp, b[k].shape)
-            dh_k, du_k = _matmul_adjoints(h_prev, u[k].T, dp)
-            dx_k, dw_k = _matmul_adjoints(x, w[k].T, dp)
+            dz[k][starts[s]:starts[s] + len(dp)] += dp  # 0.0 + dp, as the graph's gather adds it
+            db_k, du_k = _unbroadcast(dp, dp.shape[1:]), h_prev.T @ dp
             db[k] = db_k if db[k] is None else db[k] + db_k
             du[k] = du_k if du[k] is None else du[k] + du_k
-            dw[k] = dw_k if dw[k] is None else dw[k] + dw_k
-            dxs[s] = dx_k if dxs[s] is None else dxs[s] + dx_k
-            if dh is not None:
-                dh = dh + dh_k
-        dc = dc * f
-    return [m.T for m in dw] + [m.T for m in du] + db
+            if s:  # the zero initial state gets no adjoint
+                dh_k = dp @ u[k]
+                dh_prev = dh_k if dh_prev is None else dh_prev + dh_k
+        if s:
+            rows = len(g_out[s - 1])
+            dh = g_out[s - 1] + _resized_adjoint(dh_prev, rows)
+            dc = _resized_adjoint(dc * f, rows)
+    return dz, [m.T for m in du], db
 
 
-def _bwd_bilstm(node, g):
-    params = [t.values for t in node.inputs[1:]]
-    h = params[4].shape[0]
-    dxs = [None] * len(node.saved["fw"])
-    # the gate-by-gate graph records the backward direction last, so its
-    # reverse walk reaches it first
-    grads_bw = _lstm_steps_backward(node.saved["bw"], params[12:], g[..., h:][::-1], dxs)
-    dxs.reverse()
-    grads_fw = _lstm_steps_backward(node.saved["fw"], params[:12], g[..., :h], dxs)
-    return (np.stack(dxs), *grads_fw, *grads_bw)
+def _bwd_bilstm(node, g, keep):
+    tokens, params = node.inputs[0].values, [t.values for t in node.inputs[1:]]
+    h, sizes, starts = len(params[8]), node.saved["sizes"], node.saved["starts"]
+    g_fw = [g[t, :k, :h] for t, k in enumerate(sizes)]
+    g_bw = [g[t, :k, h:] for t, k in enumerate(sizes)][::-1]
+    # the gate graph records the backward direction last, so its reverse walk reaches it first
+    bw = _lstm_steps_backward(node.saved["bw"], params[16:20], g_bw, starts[::-1], len(tokens))
+    fw = _lstm_steps_backward(node.saved["fw"], params[4:8], g_fw, starts, len(tokens))
+    d_tokens = None
+    if keep[0]:  # a frozen embedding matrix needs no token adjoint
+        for dz, w in ((bw[0], params[12:16]), (fw[0], params[:4])):
+            for k in (3, 2, 1, 0):
+                d_tokens = dz[k] @ w[k] if d_tokens is None else d_tokens + dz[k] @ w[k]
+    grads = []
+    for dz, du, db in (fw, bw):
+        grads += [(tokens.T @ dz_k).T for dz_k in dz] + du + db
+    return (d_tokens, *grads)
 
 
 _KERNELS: dict[str, tuple[Callable, Callable]] = {  # kind -> (forward, backward)
@@ -543,12 +599,22 @@ def lookup_rows(matrix, indices: Sequence[int]) -> Tensor:
     return _apply("lookup", (matrix,), {"indices": np.asarray(indices, dtype=np.intp)})
 
 
-def mean_over_axis(a, axis: int = 0) -> Tensor:
-    return _apply("mean_over_axis", (a,), {"axis": int(axis)})
+def _axis_attrs(axis: int, lengths: Sequence[int] | None) -> dict:
+    attrs = {"axis": int(axis)}
+    if lengths is not None:
+        attrs["lengths"] = np.asarray(lengths, dtype=np.intp)
+    return attrs
 
 
-def max_over_axis(a, axis: int = 0) -> Tensor:
-    return _apply("max_over_axis", (a,), {"axis": int(axis)})
+def mean_over_axis(a, axis: int = 0, lengths: Sequence[int] | None = None) -> Tensor:
+    """The mean along ``axis``; with ``lengths`` (axis 0 only), column r of a
+    T x n (x e) input averages only its first lengths[r] steps."""
+    return _apply("mean_over_axis", (a,), _axis_attrs(axis, lengths))
+
+
+def max_over_axis(a, axis: int = 0, lengths: Sequence[int] | None = None) -> Tensor:
+    """The max along ``axis``; with ``lengths`` as for ``mean_over_axis``."""
+    return _apply("max_over_axis", (a,), _axis_attrs(axis, lengths))
 
 
 def softmax(a) -> Tensor:
@@ -574,17 +640,23 @@ def cosine(u, v) -> Tensor:
     return _apply("cosine", (u, v))
 
 
-def bilstm(tokens, forward: Sequence[Tensor], backward: Sequence[Tensor]) -> Tensor:
-    """Per-step states [forward; backward] of a bidirectional LSTM.
+def bilstm(tokens, lengths: Sequence[int], forward: Sequence[Tensor],
+           backward: Sequence[Tensor]) -> Tensor:
+    """Per-step states [forward; backward] of a bidirectional LSTM over n sentences.
 
-    ``tokens`` is T x d (one sentence) or T x n x d (n sentences of equal
-    length).  ``forward`` and ``backward`` are each direction's 12 tensors:
-    W (h x d), U (h x h) and b (h) of the input, forget and output gates
-    (sigmoid) and the candidate (tanh), in that order.  Returns T x 2h or
-    T x n x 2h: step t holds the forward state after reading tokens 0..t
-    and the backward state after reading tokens T-1 down to t.
+    ``lengths`` are the sentences' token counts, none greater than the one
+    before it.  ``tokens`` holds their token vectors packed step-major, as
+    sum(lengths) x d: token 0 of every sentence, then token 1 of those longer
+    than 1, and so on, in sentence order.  ``forward`` and ``backward`` are
+    each direction's 12 tensors: W (h x d), U (h x h) and b (h) of the input,
+    forget and output gates (sigmoid) and the candidate (tanh), in that
+    order.  Returns T x n x 2h, T the first length: step t of sentence r
+    holds the forward state after reading its tokens 0..t and the backward
+    state after reading its tokens lengths[r]-1 down to t, and zeros from
+    step lengths[r] on.
     """
-    return _apply("bilstm", (tokens, *forward, *backward))
+    return _apply("bilstm", (tokens, *forward, *backward),
+                  {"lengths": np.asarray(lengths, dtype=np.intp)})
 
 
 def _add_adjoints(a, b):
@@ -623,9 +695,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray | RowSparse]:
         g = adjoints.get(node.output)
         if g is None:
             continue
-        input_grads = _KERNELS[node.kind][1](node, g)
-        for tensor, grad in zip(node.inputs, input_grads):
-            if grad is None or not (tensor.trainable or tensor in fed):
+        keep = [t.trainable or t in fed for t in node.inputs]
+        for tensor, grad, kept in zip(node.inputs, _KERNELS[node.kind][1](node, g, keep), keep):
+            if grad is None or not kept:
                 continue
             if tensor in adjoints:
                 adjoints[tensor] = _add_adjoints(adjoints[tensor], grad)

@@ -310,6 +310,12 @@ def parse_report(path) -> ExperimentReport:
                             f"learning rate {lr} and {epochs} epochs") from None
     if report.warnings < 0 or (report.best_epoch or 0) < 0:
         raise DataError(f"{path}: warnings and best_epoch must be non-negative")
+    if None not in (report.best_epoch, report.best_max_epochs) \
+            and report.best_epoch >= report.best_max_epochs:
+        raise DataError(f"{path}: best_epoch {report.best_epoch} is not below "
+                        f"best_max_epochs {report.best_max_epochs}")
+    if cells and best != (None,) * 3 and best not in [c[:3] for c in cells]:
+        raise DataError(f"{path}: the best cell {best} is none of the report's cells")
     return report
 
 

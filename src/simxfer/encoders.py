@@ -7,21 +7,25 @@ elementwise max over steps).  The LSTM cell is the standard one: input,
 forget and output gates via sigmoid, candidate via tanh, hidden state =
 output gate * tanh(cell state).
 
-``encode`` takes one sentence (T x d) or a batch of n sentences of equal
-length (T x n x d); a BiLSTM encodes it as one ``bilstm`` node, whose
-kernel runs both directions' recurrence and its hand-written backward
-pass, and one pooling node.  The parameters are named tensors in a dict, in
+``encode`` embeds sentences given as rows of a zero-padded token-id table
+and their lengths, each distinct row once.  Word-average takes one lookup
+and one mean per token length.  A BiLSTM sorts the rows by descending
+length and takes one lookup of their tokens, packed step-major, one
+``bilstm`` node, whose kernel runs both directions' recurrence and its
+hand-written backward pass over every row at once, and one pooling node
+over each row's own steps.  The parameters are named tensors in a dict, in
 the order ``bilstm`` takes them (``BILSTM_NAMES``: fw then bw; in each, W, U
 and b, each in ``GATES`` order).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, bilstm, max_over_axis, mean_over_axis
+from .autodiff import Tensor, bilstm, concat, lookup_rows, max_over_axis, mean_over_axis
 from .errors import ContractError, DataError
 
 ENCODER_KINDS = ("word-average", "bilstm-avg", "bilstm-max")
@@ -72,20 +76,33 @@ def init_encoder(config: EncoderConfig) -> dict[str, Tensor]:
     return {name: Tensor(drawn[name], trainable=True, name=name) for name in BILSTM_NAMES}
 
 
-def encode(params: dict[str, Tensor], config: EncoderConfig, token_vectors: Tensor) -> Tensor:
-    """Encode a T x d token-vector matrix into one embedding vector, or a
-    T x n x d batch of n equal-length sentences into an n x e matrix."""
-    if token_vectors.values.ndim not in (2, 3):
-        raise ContractError(f"token_vectors must be T x d or T x n x d, got {token_vectors.shape}")
-    n_steps = token_vectors.shape[0]
-    if n_steps == 0:
+def encode(params: dict[str, Tensor], config: EncoderConfig, matrix: Tensor, ids: np.ndarray,
+           lengths: np.ndarray, rows: Sequence[int]) -> Tensor:
+    """The m x e embeddings of the sentences ``rows`` of a token-id table (recorded
+    if a tape is open): row i embeds tokens ``ids[rows[i], :lengths[rows[i]]]``,
+    looked up in ``matrix``.  Each distinct row is encoded once; a gather puts
+    them in the order of ``rows``."""
+    rows = np.asarray(rows).tolist()
+    distinct = list(dict.fromkeys(rows))
+    if not lengths[distinct].all():
         raise DataError("empty sentence: nothing to encode")
-    if config.kind == "word-average":
-        return mean_over_axis(token_vectors, axis=0)
-    if tuple(params) != BILSTM_NAMES:  # a same-shaped tensor out of place would go unseen
-        raise ContractError(f"{config.kind} requires the 24 tensors of BILSTM_NAMES, in order")
-    values = list(params.values())
-    per_step = bilstm(token_vectors, values[:12], values[12:])
-    if config.kind == "bilstm-avg":
-        return mean_over_axis(per_step, axis=0)
-    return max_over_axis(per_step, axis=0)
+    if config.kind == "word-average":  # one lookup and one mean per length, first seen first
+        groups: dict[int, list[int]] = {}
+        for row, length in zip(distinct, lengths[distinct].tolist()):
+            groups.setdefault(length, []).append(row)
+        order = [row for group in groups.values() for row in group]
+        embedded = concat([mean_over_axis(lookup_rows(matrix, ids[group, :length].T), axis=0)
+                           for length, group in groups.items()], axis=0)
+    else:
+        if tuple(params) != BILSTM_NAMES:  # a same-shaped tensor out of place would go unseen
+            raise ContractError(f"{config.kind} requires the 24 tensors of BILSTM_NAMES, in order")
+        order = sorted(distinct, key=lambda row: -lengths[row])  # ties stay first-seen first
+        steps = lengths[order]
+        # token t of every sentence longer than t, for t = 0, 1, ...: the packed layout
+        packed = ids[order, :steps[0]].T[np.arange(steps[0])[:, None] < steps]
+        values = list(params.values())
+        states = bilstm(lookup_rows(matrix, packed), steps, values[:12], values[12:])
+        pool = mean_over_axis if config.kind == "bilstm-avg" else max_over_axis
+        embedded = pool(states, axis=0, lengths=steps)
+    position = {row: i for i, row in enumerate(order)}
+    return lookup_rows(embedded, [position[row] for row in rows])

@@ -18,10 +18,11 @@ A model's parameters are its named tensors (``wem.matrix``, ``enc.*`` in
 
 Training, evaluation and prediction share one forward path: a call
 tokenizes its pairs once into a ``PairTable``, ``embed_pairs`` embeds the
-table or a slice of its pairs, and the heads and losses take one row per
-pair.  Training records the path on a tape; prediction runs it with no
-tape open, so it keeps no graph, one slice of ``SCORE_SLICE`` pairs at a
-time.
+table or a slice of its pairs with one ``encode`` over the rows they use
+(for a BiLSTM, one packed ``bilstm`` node whatever their lengths), and the
+heads and losses take one row per pair.  Training records the path on a
+tape; prediction runs it with no tape open, so it keeps no graph, one slice
+of ``SCORE_SLICE`` pairs at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .autodiff import (
     Tensor,
     absolute,
     add,
-    concat,
     cosine,
     elementwise_multiply,
     log,
@@ -67,8 +67,9 @@ DEFAULT_BINS = 5
 DEFAULT_HIDDEN_WIDTH = 50
 
 # Pairs per prediction pass.  Prediction records no graph, but one pass
-# over a few thousand pairs still holds their T x n x d lookups at once;
-# 256-pair slices keep scoring memory near that of training.
+# over a few thousand pairs still holds the token vectors of all their
+# sentences at once, and a BiLSTM's per-step states too; 256-pair slices
+# keep scoring memory near that of training.
 SCORE_SLICE = 256
 
 
@@ -219,22 +220,13 @@ class PairTable:
 
 def embed_pairs(model: SimilarityModel, table: PairTable) -> tuple[Tensor, Tensor]:
     """m x e embeddings of the first and of the second sentences of the table's
-    m pairs: rows of its fixed features, or else each distinct row encoded
-    once (recorded if a tape is open), first-seen over the first sentences
-    then the second ones, those of one length together from one T x n x d lookup."""
+    m pairs: rows of its fixed features, or else one ``encode`` of the first
+    sentences then the second ones (recorded if a tape is open)."""
     if table.features is not None:
         return Tensor(table.features[table.left]), Tensor(table.features[table.right])
-    rows = table.left.tolist() + table.right.tolist()
-    groups: dict[int, list[int]] = {}
-    distinct = list(dict.fromkeys(rows))
-    for row, length in zip(distinct, table.lengths[distinct].tolist()):
-        groups.setdefault(length, []).append(row)
-    position = {row: i for i, row in enumerate(r for group in groups.values() for r in group)}
-    parts = [encode(model.encoder_params, model.encoder_config,
-                    lookup_rows(model.embedding.matrix, table.ids[group, :length].T))
-             for length, group in groups.items()]
-    both = lookup_rows(concat(parts, axis=0), [position[row] for row in rows])
     m = len(table.left)
+    both = encode(model.encoder_params, model.encoder_config, model.embedding.matrix,
+                  table.ids, table.lengths, np.concatenate((table.left, table.right)))
     return lookup_rows(both, range(m)), lookup_rows(both, range(m, 2 * m))
 
 

@@ -5,9 +5,9 @@ vectorized shortcuts, so they can serve as oracles for the production
 paths: naive two-pass Pearson, O(n^2) counting ranks for Spearman, and a
 step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
 earlier form of a production path instead: the BiLSTM recorded gate by
-gate on the tape (the arithmetic the fused ``bilstm`` kernel reproduces),
-the dense lookup adjoint,
-the character-by-character tokenizer, the word-vector loader that splits
+gate on the tape, both packed (the arithmetic the fused ``bilstm`` kernel
+reproduces) and one length group at a time (the encoder before packing),
+the dense lookup adjoint, the character-by-character tokenizer, the word-vector loader that splits
 every line and calls ``float()`` on each value, the text-keyed batch embedding
 (``embed_sentences`` and ``embed_pairs``) that the pair table replaced, a
 training loop that embeds every batch and every dev slice anew with it, a
@@ -25,6 +25,7 @@ from simxfer.autodiff import (
     Tensor,
     add,
     backward,
+    bilstm,
     concat,
     cosine,
     elementwise_multiply,
@@ -45,7 +46,7 @@ from simxfer.embeddings import (
     Vocabulary,
     tokenize,
 )
-from simxfer.encoders import GATES, encode
+from simxfer.encoders import GATES
 from simxfer.errors import ContractError, DataError, NumericError
 from simxfer.metrics import correlation
 from simxfer.trainer import (
@@ -166,14 +167,79 @@ def tape_bilstm_states(params, token_vectors, hidden_dim):
 
 
 def tape_encode(params, config, token_vectors):
-    """``encoders.encode`` for a BiLSTM over ``tape_bilstm_states``."""
+    """A BiLSTM's embeddings of one length group (T x d or T x n x d) over
+    ``tape_bilstm_states``: the arithmetic of ``bilstm`` per length group."""
     per_step = tape_bilstm_states(params, token_vectors, config.hidden_dim)
     if config.kind == "bilstm-avg":
         return mean_over_axis(per_step, axis=0)
     return max_over_axis(per_step, axis=0)
 
 
-def dense_lookup_backward(node, g):
+def per_group_encode(params, config, matrix, ids, lengths, rows):
+    """``encoders.encode`` as it was before packing: each distinct row once, the
+    rows of one length from one T x n x d lookup and, for a BiLSTM, one
+    ``tape_encode`` per length; then a concat and a gather into ``rows`` order."""
+    rows = list(rows)
+    groups = {}
+    for row in dict.fromkeys(rows):
+        groups.setdefault(int(lengths[row]), []).append(row)
+    position = {row: i for i, row in enumerate(r for group in groups.values() for r in group)}
+    parts = []
+    for length, group in groups.items():
+        vectors = lookup_rows(matrix, ids[group, :length].T)
+        parts.append(mean_over_axis(vectors, axis=0) if config.kind == "word-average"
+                     else tape_encode(params, config, vectors))
+    return lookup_rows(concat(parts, axis=0), [position[row] for row in rows])
+
+
+def _tape_resized(state, k):
+    """``autodiff._resized`` as nodes: a row gather to shrink, a concat of zero rows to grow."""
+    if k < len(state.values):
+        return lookup_rows(state, range(k))
+    return concat((state, Tensor(np.zeros((k - len(state.values), state.shape[1])))), axis=0)
+
+
+def _tape_packed_direction(tokens, params, sizes, starts):
+    w, u, b = params[:4], params[4:8], params[8:]
+    xw = [matmul(tokens, transpose(wk)) for wk in w]
+    ut = [transpose(uk) for uk in u]
+    hidden = cell = Tensor(np.zeros((0, b[0].shape[0])))
+    states = []
+    for k, start in zip(sizes, starts):
+        h_prev, c_prev = _tape_resized(hidden, k), _tape_resized(cell, k)
+        gates = []
+        for gate, xk, uk, bk in zip(GATES, xw, ut, b):
+            pre = add(add(lookup_rows(xk, range(start, start + k)), matmul(h_prev, uk)), bk)
+            gates.append(tanh(pre) if gate == "candidate" else sigmoid(pre))
+        i, f, o, g = gates
+        cell = add(elementwise_multiply(f, c_prev), elementwise_multiply(i, g))
+        hidden = elementwise_multiply(o, tanh(cell))
+        states.append(hidden)
+    return states
+
+
+def tape_packed_bilstm(tokens, lengths, forward, backward):
+    """``autodiff.bilstm`` recorded gate by gate, with its signature: per gate
+    one ``matmul`` of all packed tokens, then per step a row gather of that
+    product, the recurrent ``matmul``, the adds and the activations; a gather
+    or a concat of zero rows hands each step's state to the next.  Each
+    step's state is padded with zero rows to n, and ``stack`` and ``concat``
+    build the T x n x 2h output."""
+    lengths = np.asarray(lengths)
+    sizes = [int((lengths > t).sum()) for t in range(lengths[0])]
+    starts = [0, *np.cumsum(sizes[:-1]).tolist()]
+    forward, backward = list(forward), list(backward)
+    fwd = _tape_packed_direction(tokens, forward, sizes, starts)
+    bwd = _tape_packed_direction(tokens, backward, sizes[::-1], starts[::-1])[::-1]
+
+    def padded(states):
+        return stack([concat((s, Tensor(np.zeros((len(lengths) - s.shape[0], s.shape[1])))),
+                             axis=0) for s in states])
+
+    return concat((padded(fwd), padded(bwd)))
+
+
+def dense_lookup_backward(node, g, keep):
     """The lookup adjoint as a full matrix: zeros, then ``np.add.at`` over the indices."""
     out = np.zeros_like(node.inputs[0].values)
     np.add.at(out, node.attrs["indices"], g)
@@ -251,22 +317,33 @@ def embed_sentences(model, sentences):
     """tokenize -> lookup -> encode for a batch of sentences (recorded if a tape is open).
 
     Returns an n x e tensor whose row i embeds ``sentences[i]``.  Each
-    distinct sentence is encoded once, and the sentences of one token
-    length are encoded together from one T x n x d lookup.
+    distinct sentence is encoded once.  Word-average looks up and averages
+    the sentences of one token length together, lengths in first-seen order;
+    a BiLSTM sorts the sentences by descending length, ties in first-seen
+    order, and runs one packed ``bilstm`` over all of them.
     """
     get = model.vocabulary.index.get
     ids = {text: [get(t, UNK_INDEX) for t in tokenize(text)] for text in dict.fromkeys(sentences)}
     if not all(ids.values()):
         raise DataError("empty sentence: no tokens to look up")
-    by_length = {}
-    for text in ids:
-        by_length.setdefault(len(ids[text]), []).append(text)
-    row = {text: i for i, text in enumerate(t for group in by_length.values() for t in group)}
-    parts = []
-    for group in by_length.values():
-        vectors = lookup_rows(model.embedding.matrix, np.array([ids[t] for t in group]).T)
-        parts.append(encode(model.encoder_params, model.encoder_config, vectors))
-    return lookup_rows(concat(parts, axis=0), [row[text] for text in sentences])
+    matrix, kind = model.embedding.matrix, model.encoder_config.kind
+    if kind == "word-average":
+        by_length = {}
+        for text in ids:
+            by_length.setdefault(len(ids[text]), []).append(text)
+        order = [t for group in by_length.values() for t in group]
+        embedded = concat([mean_over_axis(lookup_rows(matrix, np.array([ids[t] for t in group]).T))
+                           for group in by_length.values()], axis=0)
+    else:
+        order = sorted(ids, key=lambda text: -len(ids[text]))
+        lengths = [len(ids[text]) for text in order]
+        packed = [ids[text][t] for t in range(lengths[0]) for text in order if len(ids[text]) > t]
+        values = list(model.encoder_params.values())
+        states = bilstm(lookup_rows(matrix, packed), lengths, values[:12], values[12:])
+        pool = mean_over_axis if kind == "bilstm-avg" else max_over_axis
+        embedded = pool(states, axis=0, lengths=lengths)
+    row = {text: i for i, text in enumerate(order)}
+    return lookup_rows(embedded, [row[text] for text in sentences])
 
 
 def embed_pairs(model, pairs):

@@ -85,6 +85,18 @@ def _primitive_checks(rng):
     cases["log"] = (lambda: _probe(ad.log(w1)), [w1])
     u1, u2 = vec(), vec()
     cases["cosine"] = (lambda: cosine(u1, u2), [u1, u2])
+    p2 = Tensor(rng.normal(size=(3, 3, 2)), trainable=True)
+    cases["mean_over_axis lengths"] = (
+        lambda: _probe(ad.mean_over_axis(p2, axis=0, lengths=[3, 1, 2])), [p2])
+    q2 = Tensor(rng.normal(size=(3, 3, 2)), trainable=True)
+    cases["max_over_axis lengths"] = (
+        lambda: _probe(ad.max_over_axis(q2, axis=0, lengths=[3, 1, 2])), [q2])
+    x1 = mat(6, 3)  # three packed sentences of 3, 2 and 1 tokens
+    lstm = [mat(*shape) if len(shape) == 2 else vec(*shape)
+            for shape in ([(2, 3)] * 4 + [(2, 2)] * 4 + [(2,)] * 4) * 2]
+    cases["bilstm"] = (
+        lambda: _probe(ad.mean_over_axis(ad.bilstm(x1, [3, 2, 1], lstm[:12], lstm[12:]))),
+        [x1, *lstm])
     return cases
 
 

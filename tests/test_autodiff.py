@@ -110,6 +110,28 @@ def test_shape_error_names_primitive_and_shapes():
     assert "(2,)" in str(err.value) and "(3,)" in str(err.value)
 
 
+def test_pooling_over_lengths_pools_each_columns_own_steps_and_checks_them():
+    a = Tensor([[[1.0], [-3.0]], [[5.0], [-7.0]], [[9.0], [100.0]]])  # T=3, n=2, e=1
+    with Tape():
+        assert ad.mean_over_axis(a, axis=0, lengths=[3, 2]).values.tolist() == [[5.0], [-5.0]]
+        assert ad.max_over_axis(a, axis=0, lengths=[1, 2]).values.tolist() == [[1.0], [-3.0]]
+        for op in (ad.mean_over_axis, ad.max_over_axis):
+            for axis, lengths in ((0, [3]), (0, [0, 2]), (0, [4, 1]), (1, [1, 1])):
+                with pytest.raises(ShapeError):
+                    op(a, axis=axis, lengths=lengths)
+
+
+def test_bilstm_checks_its_lengths_against_the_packed_tokens():
+    params = [Tensor(np.zeros(shape)) for shape in ([(2, 3)] * 4 + [(2, 2)] * 4 + [(2,)] * 4) * 2]
+    with Tape():
+        assert ad.bilstm(np.ones((5, 3)), [3, 2], params[:12], params[12:]).shape == (3, 2, 4)
+        with pytest.raises(ShapeError):
+            ad.bilstm(np.ones((4, 3)), [3, 2], params[:12], params[12:])
+        for lengths in ([2, 3], [5, 0], []):
+            with pytest.raises(ContractError):
+                ad.bilstm(np.ones((5, 3)), lengths, params[:12], params[12:])
+
+
 def test_backward_quadratic():
     x = Tensor([1.0, 2.0], trainable=True)
     with Tape() as tape:
@@ -291,16 +313,19 @@ def _primitive_cases():
         b = Tensor(rng.normal(size=(2, 3)), trainable=True)
         return lambda: _scalarize(ad.stack((a, b))), [a, b]
 
-    def bilstm_case(steps, batch=()):
+    def bilstm_case(lengths):
         def build(rng):  # inputs at scale 0.5 keep the gates away from saturation
             d, h = 3, 2
-            tokens = Tensor(rng.normal(scale=0.5, size=(steps, *batch, d)), trainable=True)
+            tokens = Tensor(rng.normal(scale=0.5, size=(sum(lengths), d)), trainable=True)
             shapes = ([(h, d)] * 4 + [(h, h)] * 4 + [(h,)] * 4) * 2
             params = [Tensor(rng.normal(scale=0.5, size=shape), trainable=True)
                       for shape in shapes]
-            return (lambda: _scalarize(ad.bilstm(tokens, params[:12], params[12:])),
+            return (lambda: _scalarize(ad.bilstm(tokens, lengths, params[:12], params[12:])),
                     [tokens, *params])
         return build
+
+    def pooled(op):  # the steps past a column's length do not count
+        return unary(lambda t: op(t, axis=0, lengths=[3, 1, 2]), shape=(3, 3, 2))
 
     return [
         ("add", binary(ad.add)),
@@ -337,9 +362,11 @@ def _primitive_cases():
                                         shape=(3, 2, 4))),
         ("softmax_rows", unary(ad.softmax, shape=(3, 5))),
         ("cosine_rows", cosine_rows_case),
-        ("bilstm", bilstm_case(3, batch=(2,))),
-        ("bilstm_one_sentence", bilstm_case(4)),
-        ("bilstm_one_step", bilstm_case(1, batch=(2,))),
+        ("bilstm", bilstm_case((3, 3, 2, 1))),
+        ("bilstm_one_sentence", bilstm_case((4,))),
+        ("bilstm_one_step", bilstm_case((1, 1))),
+        ("mean_over_axis_lengths", pooled(ad.mean_over_axis)),
+        ("max_over_axis_lengths", pooled(ad.max_over_axis)),
     ]
 
 
@@ -452,6 +479,6 @@ def test_lookup_of_a_gathered_intermediate_keeps_a_dense_adjoint(rng):
     with Tape() as tape:
         inner = ad.lookup_rows(m, [3, 0, 3])
         loss = _scalarize(ad.lookup_rows(inner, [2, 2, 1]))
-    kinds = [type(g) for g in ad._KERNELS["lookup"][1](tape.nodes[1], np.ones((3, 2)))]
+    kinds = [type(g) for g in ad._KERNELS["lookup"][1](tape.nodes[1], np.ones((3, 2)), [True])]
     assert kinds == [np.ndarray]
     assert isinstance(backward(tape, loss)[m], ad.RowSparse)

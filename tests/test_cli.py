@@ -1,5 +1,9 @@
 """Tests for the spec/report formats and the four CLI subcommands."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import FIXTURES_DIR, REPO_ROOT
@@ -124,7 +128,7 @@ def sample_report(**overrides):
                   setting="DNT+wem", test_correlation=0.8123456789012345,
                   dev_correlation=0.7998, best_batch_size=32, best_learning_rate=0.01,
                   best_max_epochs=30, best_epoch=12, warnings=1,
-                  cells=[(32, 0.01, 10, 0.7), (64, 0.001, 30, 0.69)])
+                  cells=[(32, 0.01, 30, 0.7998), (64, 0.001, 30, 0.69)])
     fields.update(overrides)
     return ExperimentReport(**fields)
 
@@ -201,7 +205,7 @@ def test_table_refuses_a_correlation_outside_minus_one_to_one(tmp_path, capsys, 
 
 def test_report_round_trips_the_undefined_correlation(tmp_path):
     report = sample_report(test_correlation=-1.0, dev_correlation=-1.0,
-                           cells=[(32, 0.01, 10, -1.0), (64, 0.001, 30, 1.0)])
+                           cells=[(32, 0.01, 30, -1.0), (64, 0.001, 30, 1.0)])
     path = tmp_path / "r.tsv"
     write_report(report, path)
     assert parse_report(path) == report
@@ -222,6 +226,32 @@ def test_table_refuses_a_report_no_run_writes(tmp_path, capsys, fields):
         parse_report(bad)
     assert main(["table", str(bad)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"best_max_epochs": 10, "best_epoch": 57, "cells": [(32, 0.01, 10, 0.7998)]},
+     "best_epoch 57 is not below best_max_epochs 10"),
+    ({"best_epoch": 30}, "best_epoch 30 is not below best_max_epochs 30"),
+    ({"cells": [(64, 0.01, 30, 0.7998)]}, "is none of the report's cells"),
+    ({"best_learning_rate": 0.1}, "is none of the report's cells"),
+    ({"best_max_epochs": 20}, "is none of the report's cells"),
+], ids=["epoch-57-of-10", "epoch-at-budget", "batch", "learning-rate", "epochs"])
+def test_table_refuses_a_best_cell_the_rest_of_the_report_contradicts(tmp_path, capsys,
+                                                                    fields, message):
+    """A run's best epoch is below its budget, and its best triple is one of its cells."""
+    bad = tmp_path / "bad.tsv"
+    write_report(sample_report(**fields), bad)
+    with pytest.raises(DataError, match=message):
+        parse_report(bad)
+    assert main(["table", str(bad)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_a_best_cell_needs_no_cells_and_may_end_at_the_last_epoch(tmp_path):
+    for report in (sample_report(cells=[]), sample_report(best_epoch=29)):
+        path = tmp_path / "r.tsv"
+        write_report(report, path)
+        assert parse_report(path) == report
 
 
 def test_a_perfect_two_pair_eval_is_read_back_by_table(tmp_path):
@@ -581,3 +611,26 @@ def test_numeric_error_exit_code(tmp_path):
                      encoding="utf-8")
     spec = write_spec(tmp_path, **{"data.test": str(const)})
     assert main(["eval", "--spec", str(spec)]) == 3
+
+
+def test_run_report_is_byte_identical_across_blas_threads_and_hash_seeds(tmp_path):
+    """``simxfer run`` on a BiLSTM DNT spec, in fresh processes with one and two
+    BLAS threads under two ``PYTHONHASHSEED`` values, writes one report, byte
+    for byte: neither the BLAS thread count nor set and dict hashing may move
+    a correlation's last bit."""
+    spec = FIXTURES_DIR / "specs" / "dnt_bilstm_run.spec"
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    reports = []
+    for threads in ("1", "2"):
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / f"{threads}-{hash_seed}.tsv"
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+                   "PYTHONHASHSEED": hash_seed, cli.ENV_DATA_DIR: str(REPO_ROOT),
+                   **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS"), threads)}
+            proc = subprocess.run([sys.executable, "-m", "simxfer.cli", "run", "--spec",
+                                   str(spec), "--out", str(out)], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            reports.append(out.read_bytes())
+    assert reports[1:] == reports[:1] * 3

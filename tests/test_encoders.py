@@ -1,7 +1,8 @@
 """Tests for the sentence encoders, checked against a from-scratch
 numpy recurrence oracle that never touches the tape machinery, and the
-fused ``bilstm`` node against the gate-by-gate graph it replaces."""
+fused, packed ``bilstm`` node against the gate-by-gate graph it replaces."""
 
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -11,11 +12,11 @@ from conftest import FIXTURES_DIR
 from oracles import (
     bilstm_reference_embedding,
     lstm_reference_states,
-    tape_bilstm_states,
-    tape_encode,
+    per_group_encode,
+    tape_packed_bilstm,
 )
 
-from simxfer import transfer
+from simxfer import encoders, transfer
 from simxfer.autodiff import (
     Tape,
     Tensor,
@@ -25,11 +26,12 @@ from simxfer.autodiff import (
     lookup_rows,
     matmul,
     mean_over_axis,
+    select_row,
 )
-from simxfer.data import load_generic_tsv
+from simxfer.data import ScoredPair, load_generic_tsv
 from simxfer.embeddings import load_embeddings, tokenize
 from simxfer.encoders import GATES, EncoderConfig, encode, init_encoder
-from simxfer.errors import ContractError, ShapeError
+from simxfer.errors import ContractError, DataError, ShapeError
 from simxfer.trainer import batch_loss
 from simxfer.transfer import SimilarityModel, TransferConfig
 
@@ -37,6 +39,18 @@ from simxfer.transfer import SimilarityModel, TransferConfig
 def direction_arrays(params, tag):
     """(weights, recurrent, biases) dicts of one direction, keyed by gate."""
     return tuple({g: params[f"enc.{tag}.{part}_{g}"].values for g in GATES} for part in "wub")
+
+
+def encode_tokens(params, config, x):
+    """``encode`` of one sentence's T x d token vectors (an embedding vector),
+    or of n sentences of T tokens each, given as T x n x d (an n x e matrix)."""
+    x = np.asarray(x, dtype=np.float64)
+    steps = x[:, None] if x.ndim == 2 else x
+    n_steps, n, d = steps.shape
+    matrix = Tensor(steps.transpose(1, 0, 2).reshape(n * n_steps, d))
+    ids = np.arange(n * n_steps).reshape(n, n_steps)
+    out = encode(params, config, matrix, ids, np.full(n, n_steps), range(n))
+    return select_row(out, 0) if x.ndim == 2 else out
 
 
 def test_word_average_config_has_no_parameters():
@@ -71,10 +85,9 @@ def test_encode_refuses_parameters_out_of_bilstm_order():
     params = init_encoder(config)
     names = list(params)
     names[0], names[4] = names[4], names[0]  # w_input and u_input: both 3 x 3
-    x = Tensor(np.ones((2, 3)))
     for bad in ({n: params[n] for n in names}, {n: params[n] for n in names[1:]}, {}):
         with pytest.raises(ContractError, match="BILSTM_NAMES"):
-            encode(bad, config, x)
+            encode_tokens(bad, config, np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -124,7 +137,7 @@ def test_forget_bias_initialized_to_one():
 def test_word_average_is_arithmetic_mean():
     config = EncoderConfig("word-average", input_dim=2)
     with Tape():
-        out = encode(init_encoder(config), config, Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        out = encode_tokens(init_encoder(config), config, [[1.0, 2.0], [3.0, 4.0]])
     assert out.values.tolist() == [2.0, 3.0]
 
 
@@ -134,7 +147,7 @@ def test_single_step_pooling_is_identity(kind):
     params = init_encoder(config)
     x = np.random.default_rng(0).normal(size=(1, 3))
     with Tape():
-        pooled = encode(params, config, Tensor(x)).values
+        pooled = encode_tokens(params, config, x).values
     fw = lstm_reference_states(*direction_arrays(params, "fw"), [x[0]])[-1]
     bw = lstm_reference_states(*direction_arrays(params, "bw"), [x[0]])[-1]
     assert np.allclose(pooled, np.concatenate([fw, bw]), atol=1e-12)
@@ -146,7 +159,7 @@ def test_bilstm_matches_reference_recurrence(kind, pooling):
     params = init_encoder(config)
     x = np.random.default_rng(3).normal(size=(3, 4))
     with Tape():
-        produced = encode(params, config, Tensor(x)).values
+        produced = encode_tokens(params, config, x).values
     reference = bilstm_reference_embedding(
         {"fw": direction_arrays(params, "fw"), "bw": direction_arrays(params, "bw")},
         x, pooling)
@@ -158,9 +171,9 @@ def test_bilstm_is_order_sensitive():
     params = init_encoder(config)
     x = np.random.default_rng(4).normal(size=(4, 3))
     with Tape():
-        forward_order = encode(params, config, Tensor(x)).values
+        forward_order = encode_tokens(params, config, x).values
     with Tape():
-        reversed_order = encode(params, config, Tensor(x[::-1].copy())).values
+        reversed_order = encode_tokens(params, config, x[::-1]).values
     assert not np.allclose(forward_order, reversed_order)
 
 
@@ -168,9 +181,9 @@ def test_word_average_is_permutation_invariant():
     config = EncoderConfig("word-average", input_dim=3)
     x = np.random.default_rng(4).normal(size=(4, 3))
     with Tape():
-        a = encode(init_encoder(config), config, Tensor(x)).values
+        a = encode_tokens(init_encoder(config), config, x).values
     with Tape():
-        b = encode(init_encoder(config), config, Tensor(x[::-1].copy())).values
+        b = encode_tokens(init_encoder(config), config, x[::-1]).values
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -179,7 +192,7 @@ def test_max_pooling_dominates_every_step():
     params = init_encoder(config)
     x = np.random.default_rng(6).normal(size=(5, 3))
     with Tape():
-        pooled = encode(params, config, Tensor(x)).values
+        pooled = encode_tokens(params, config, x).values
     fw = lstm_reference_states(*direction_arrays(params, "fw"), list(x))
     bw = lstm_reference_states(*direction_arrays(params, "bw"), list(x)[::-1])[::-1]
     for f, b in zip(fw, bw):
@@ -191,7 +204,7 @@ def test_gradients_reach_encoder_parameters():
     params = init_encoder(config)
     x = np.random.default_rng(8).normal(size=(3, 3))
     with Tape() as tape:
-        emb = encode(params, config, Tensor(x))
+        emb = encode_tokens(params, config, x)
         from simxfer.autodiff import matmul
 
         loss = matmul(emb, emb)
@@ -204,9 +217,9 @@ def test_encoding_is_deterministic():
     params = init_encoder(config)
     x = np.random.default_rng(10).normal(size=(4, 3))
     with Tape():
-        a = encode(params, config, Tensor(x)).values
+        a = encode_tokens(params, config, x).values
     with Tape():
-        b = encode(params, config, Tensor(x)).values
+        b = encode_tokens(params, config, x).values
     assert np.array_equal(a, b)
 
 
@@ -219,6 +232,14 @@ def test_invalid_configs_rejected():
         EncoderConfig("word-average", input_dim=0)
 
 
+@pytest.mark.parametrize("kind", ["word-average", "bilstm-avg", "bilstm-max"])
+def test_encode_refuses_an_empty_sentence(kind):
+    config = EncoderConfig(kind, input_dim=3, hidden_dim=2, seed=1)
+    ids, lengths = np.array([[1, 2], [0, 0]]), np.array([2, 0])
+    with pytest.raises(DataError, match="empty sentence"):
+        encode(init_encoder(config), config, Tensor(np.ones((3, 3))), ids, lengths, [0, 1])
+
+
 def test_output_dims():
     assert EncoderConfig("word-average", input_dim=7).output_dim == 7
     assert EncoderConfig("bilstm-avg", input_dim=7, hidden_dim=5).output_dim == 10
@@ -229,10 +250,10 @@ def test_token_width_other_than_input_dim_is_a_shape_error(shape):
     config = EncoderConfig("bilstm-avg", input_dim=4, hidden_dim=3, seed=1)
     with Tape():
         with pytest.raises(ShapeError):
-            encode(init_encoder(config), config, Tensor(np.ones(shape)))
+            encode_tokens(init_encoder(config), config, np.ones(shape))
 
 
-# --- the fused bilstm node against the gate-by-gate graph (tests/oracles.py) ---
+# --- the packed bilstm node against the gate-by-gate graphs (tests/oracles.py) ---
 
 
 def _probe_loss(pooled, probe):
@@ -242,31 +263,85 @@ def _probe_loss(pooled, probe):
     return matmul(probe, pooled)
 
 
+def _encode_rows(params, config, wem, ids, lengths, rows, probe, kernel=None):
+    """The embeddings of ``encode`` over the rows and the gradients of a probe
+    of them; ``kernel`` stands in for the ``bilstm`` primitive if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel is not None:
+            patch.setattr(encoders, "bilstm", kernel)
+        with Tape() as tape:
+            out = encode(params, config, wem, ids, lengths, rows)
+            loss = _probe_loss(out, probe)
+    return out.values, {t: dense(g) for t, g in backward(tape, loss).items()}
+
+
+def _assert_bitwise(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert set(got[1]) == set(want[1])
+    for t, g in want[1].items():
+        assert got[1][t].tobytes() == g.tobytes(), t.name
+
+
 @pytest.mark.parametrize("kind", ["bilstm-avg", "bilstm-max"])
-@pytest.mark.parametrize("batch", [(), (3,)], ids=["T x d", "T x n x d"])
+@pytest.mark.parametrize("batch", [1, 3], ids=["T x d", "T x n x d"])
 def test_fused_bilstm_is_bitwise_the_gate_by_gate_graph_on_one_length_group(kind, batch):
+    """One sentence, or three of one length: the states, the embeddings and
+    every gradient are those of the packed gate graph, bit for bit."""
     config = EncoderConfig(kind, input_dim=4, hidden_dim=5, seed=3)
     params = init_encoder(config)
     rng = np.random.default_rng(12)
     wem = Tensor(rng.normal(size=(9, 4)), trainable=True)
-    ids = rng.integers(0, 9, size=(6, *batch))
+    ids = rng.integers(0, 9, size=(batch, 6))
+    lengths = np.full(batch, 6)
     probe = Tensor(rng.normal(size=config.output_dim))
-
-    def run(encoder):
-        with Tape() as tape:
-            loss = _probe_loss(encoder(params, config, lookup_rows(wem, ids)), probe)
-        return loss, backward(tape, loss)
-
-    tokens = lookup_rows(wem, ids)
+    tokens = lookup_rows(wem, ids.T.ravel())
     values = list(params.values())
-    fused = bilstm(tokens, values[:12], values[12:])
-    reference = tape_bilstm_states(params, tokens, config.hidden_dim)
+    fused = bilstm(tokens, lengths, values[:12], values[12:])
+    reference = tape_packed_bilstm(tokens, lengths, values[:12], values[12:])
     assert fused.values.tobytes() == reference.values.tobytes()
-    (loss, grads), (want_loss, want) = run(encode), run(tape_encode)
-    assert loss.values.tobytes() == want_loss.values.tobytes()
-    assert set(grads) == set(want) == {wem, *params.values()}
-    for t in want:
-        assert dense(grads[t]).tobytes() == dense(want[t]).tobytes(), t.name
+    got = _encode_rows(params, config, wem, ids, lengths, range(batch), probe)
+    _assert_bitwise(got, _encode_rows(params, config, wem, ids, lengths, range(batch), probe,
+                                      kernel=tape_packed_bilstm))
+    assert set(got[1]) == {wem, *params.values()}
+
+
+EDGE_LENGTHS = {"one sentence": [5], "a 1-token sentence among 6-token ones": [6, 1, 6, 6],
+                "all lengths equal": [4, 4, 4], "repeated rows": [3, 5, 2],
+                "bilstm-max with tied steps": [4, 6, 2]}
+
+
+@pytest.mark.parametrize("case", EDGE_LENGTHS)
+def test_packed_batch_edge_cases_match_the_gate_graph_and_per_sentence_encode(case):
+    """Each edge batch is bitwise the packed gate graph, embeddings and every
+    gradient, and each of its rows is within 1e-12 of encoding that sentence
+    alone.  The tied case shuts the forget gate and drops U, so a step's state
+    depends on its token alone; alternating tokens then tie steps exactly,
+    and every state is negative, so a padded zero step must never win."""
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    lengths = np.array(EDGE_LENGTHS[case])
+    kind = "bilstm-max" if "tied" in case else "bilstm-avg"
+    config = EncoderConfig(kind, input_dim=4, hidden_dim=3, seed=5)
+    params = init_encoder(config)
+    wem = Tensor(rng.normal(size=(12, 4)), trainable=True)
+    ids = rng.integers(1, 12, size=(len(lengths), lengths.max()))
+    rows = [0, 2, 0, 1, 2, 2, 1] if case == "repeated rows" else range(len(lengths))
+    if "tied" in case:
+        ids = ids[:, np.arange(ids.shape[1]) % 2]
+        for tag in ("fw", "bw"):
+            for gate in GATES:
+                params[f"enc.{tag}.u_{gate}"].values[:] = 0.0
+            params[f"enc.{tag}.b_forget"].values[:] = -1000.0
+            params[f"enc.{tag}.b_candidate"].values[:] = -5.0
+    ids[np.arange(ids.shape[1]) >= lengths[:, None]] = 0  # zero-padded, as in a PairTable
+    probe = Tensor(rng.normal(size=config.output_dim))
+    got = _encode_rows(params, config, wem, ids, lengths, rows, probe)
+    _assert_bitwise(got, _encode_rows(params, config, wem, ids, lengths, rows, probe,
+                                      kernel=tape_packed_bilstm))
+    for embedding, row in zip(got[0], rows):
+        alone = encode(params, config, wem, ids, lengths, [row]).values[0]
+        assert np.allclose(embedding, alone, rtol=0, atol=1e-12)
+    if "tied" in case:
+        assert np.all(got[0] < 0)
 
 
 @pytest.fixture(scope="module")
@@ -276,43 +351,53 @@ def fixture_batch():
     return emb, load_generic_tsv(FIXTURES_DIR / "activity_pairs.tsv", 0, 5).pairs[:32]
 
 
-def _dnt_batch(fixture_batch, kind, freeze_wem, encoder):
-    """Nodes and gradients of one DNT batch loss, ``encoder`` standing in for ``encode``."""
-    emb, pairs = fixture_batch
+def _dnt_batch(emb, pairs, kind, freeze_wem, patch=None):
+    """Nodes, loss and gradients of one DNT batch loss; ``patch`` is a
+    (module, name, stand-in) to swap in while it is recorded."""
     config = EncoderConfig(kind, input_dim=50, hidden_dim=8, seed=7)
     model = SimilarityModel(emb.vocabulary, emb.embedding, config, init_encoder(config))
     dnt = TransferConfig("DNT", norm_range=(0.0, 1.0), freeze_wem=freeze_wem)
     model.apply_freeze_policy(dnt)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transfer, "encode", encoder)
+    with pytest.MonkeyPatch.context() as mp:
+        if patch is not None:
+            mp.setattr(*patch)
         with Tape() as tape:
             loss = batch_loss(model, dnt, pairs)
-    return tape.nodes, {t.name: dense(g) for t, g in backward(tape, loss).items()}
+    grads = {t.name: dense(g) for t, g in backward(tape, loss).items()}
+    return tape.nodes, loss.values, grads
 
 
 @pytest.mark.parametrize("kind", ["bilstm-avg", "bilstm-max"])
 def test_fused_bilstm_matches_the_gate_by_gate_graph_across_length_groups(fixture_batch, kind):
-    """Bitwise but for the biases: the gate-by-gate graph summed each bias
-    over all length groups in one running sum, the fused nodes hand it one
-    sum per group, so the bias gradients may differ in the last places."""
-    nodes, grads = _dnt_batch(fixture_batch, kind, False, encode)
-    _, want = _dnt_batch(fixture_batch, kind, False, tape_encode)
-    assert Counter(node.kind for node in nodes)["bilstm"] > 1
-    assert set(grads) == set(want) and len(want) == 25
+    """One packed node over a batch of many lengths is bitwise the packed gate
+    graph, biases included.  The per-length-group graph that the encoder ran
+    before packing sums in another order, so it agrees within the goldens' 1e-12."""
+    nodes, loss, grads = _dnt_batch(*fixture_batch, kind, False)
+    _, want_loss, want = _dnt_batch(*fixture_batch, kind, False,
+                                    (encoders, "bilstm", tape_packed_bilstm))
+    _, group_loss, per_group = _dnt_batch(*fixture_batch, kind, False,
+                                          (transfer, "encode", per_group_encode))
+    assert Counter(node.kind for node in nodes)["bilstm"] == 1
+    assert set(grads) == set(want) == set(per_group) and len(want) == 25
+    assert loss.tobytes() == want_loss.tobytes()
+    assert abs(loss - group_loss) <= 1e-12
     for name, g in want.items():
-        if ".b_" in name:
-            assert np.all(np.abs(grads[name] - g) <= 4 * np.spacing(np.abs(g).max())), name
-        else:
-            assert grads[name].tobytes() == g.tobytes(), name
+        assert grads[name].tobytes() == g.tobytes(), name
+        assert np.allclose(grads[name], per_group[name], rtol=0, atol=1e-12), name
 
 
 def test_dnt_batch_records_a_few_nodes_per_length_group(fixture_batch):
-    """One bilstm and no gate nodes per length group (23 nodes for the
-    fixture batch, where the gate-by-gate graph records 1,133)."""
-    nodes, _ = _dnt_batch(fixture_batch, "bilstm-avg", True, encode)
-    _, pairs = fixture_batch
-    groups = len({len(tokenize(text)) for p in pairs for text in (p.sentence_a, p.sentence_b)})
+    """One bilstm node and no gate node per batch, whatever its lengths: the
+    fixture batch, with five lengths, records the same 10 nodes as a batch of
+    one length.  Per length group, the fixture batch took 23 nodes; gate by
+    gate, 1,133."""
+    emb, pairs = fixture_batch
+    nodes, _, _ = _dnt_batch(emb, pairs, "bilstm-avg", True)
+    four = [p.sentence_a for p in load_generic_tsv(FIXTURES_DIR / "activity_pairs.tsv", 0, 5).pairs
+            if len(tokenize(p.sentence_a)) == 4][:32]
+    one_length = [ScoredPair(a, b, 2.5, (0.0, 5.0)) for a, b in zip(four[::2], four[1::2])]
+    same_nodes, _, _ = _dnt_batch(emb, one_length, "bilstm-avg", True)
+    assert len({len(tokenize(text)) for p in pairs for text in (p.sentence_a, p.sentence_b)}) == 5
     kinds = Counter(node.kind for node in nodes)
-    assert kinds["bilstm"] == groups > 1
-    assert kinds["sigmoid"] == kinds["tanh"] == 0
-    assert len(nodes) <= 3 * groups + 8
+    assert kinds["bilstm"] == 1 and kinds["sigmoid"] == kinds["tanh"] == 0
+    assert kinds == Counter(node.kind for node in same_nodes) and len(nodes) == 10

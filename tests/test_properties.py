@@ -70,15 +70,19 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path_factory, tensors):
 
 @st.composite
 def reports(draw):
-    best = draw(st.none() | st.tuples(POSITIVE, RATE, POSITIVE)) or (None,) * 3
+    cells = draw(st.lists(st.tuples(POSITIVE, RATE, POSITIVE, CORRELATION), max_size=4))
+    # a run's best triple is one of its cells, and its best epoch is below that budget
+    triple = (st.sampled_from([c[:3] for c in cells]) if cells
+              else st.tuples(POSITIVE, RATE, POSITIVE))
+    best = draw(st.none() | triple) or (None,) * 3
     return ExperimentReport(
         dataset=draw(LINE_TEXT), metric=draw(LINE_TEXT), encoder=draw(LINE_TEXT),
         setting=draw(LINE_TEXT), test_correlation=draw(CORRELATION),
         dev_correlation=draw(st.none() | CORRELATION),
         best_batch_size=best[0], best_learning_rate=best[1], best_max_epochs=best[2],
-        best_epoch=draw(st.none() | COUNT),
+        best_epoch=draw(st.none() | (COUNT if best[2] is None else st.integers(0, best[2] - 1))),
         warnings=draw(COUNT),
-        cells=draw(st.lists(st.tuples(POSITIVE, RATE, POSITIVE, CORRELATION), max_size=4)),
+        cells=cells,
     )
 
 

@@ -393,10 +393,10 @@ def test_backward_computes_no_adjoint_for_a_frozen_embedding_matrix(config, monk
     model.apply_freeze_policy(config)
     lookup_forward, lookup_kernel = ad._KERNELS["lookup"]
 
-    def guarded(node, g):
+    def guarded(node, g, keep):
         if node.inputs[0] is model.embedding.matrix:
             raise AssertionError("dense adjoint computed for the embedding matrix")
-        return lookup_kernel(node, g)
+        return lookup_kernel(node, g, keep)
 
     monkeypatch.setitem(ad._KERNELS, "lookup", (lookup_forward, guarded))
     with Tape() as tape:
@@ -408,6 +408,53 @@ def test_backward_computes_no_adjoint_for_a_frozen_embedding_matrix(config, monk
     grads = backward(tape, loss)
     trained = [t for t in model.named_tensors().values() if t.trainable]
     assert trained and all(t in grads for t in trained)
+
+
+@pytest.mark.parametrize("config,dropped", [
+    (TransferConfig("FT", loss_kind="KL", bins=5), {("matmul", 0), ("matmul", 1)}),
+    (TransferConfig("NT", loss_kind="KL", bins=5, freeze_wem=True),
+     {("matmul", 1), ("bilstm", 0)}),
+    (DNT_LOCKED, {("bilstm", 0)}),
+    (DNT, set()),
+], ids=["FT", "NT", "DNT", "DNT+wem"])
+def test_matmul_and_bilstm_compute_only_the_adjoints_backward_keeps(config, dropped,
+                                                                   monkeypatch):
+    """``backward`` tells each kernel which input adjoints it keeps, and matmul
+    and bilstm return None for the others instead of computing them: the
+    token adjoint of a frozen ``wem``, and the adjoints of FT's fixed features
+    (``h_times``, ``h_plus``) and of the KL loss's ones vector.  Telling every
+    kernel to keep every adjoint changes no gradient bit."""
+    model = make_model(kind="bilstm-avg", dim=3, bins=5, seed=61)
+    model.apply_freeze_policy(config)
+    pairs = random_pairs(6, seed=62)
+
+    def run(keep_all):
+        calls = []
+
+        def recording(kernel):
+            def wrapped(node, g, keep):
+                adjoints = kernel(node, g, [True] * len(keep) if keep_all else keep)
+                calls.append((node.kind, keep, adjoints))
+                return adjoints
+            return wrapped
+
+        with monkeypatch.context() as patch:
+            for kind, (forward, kernel) in list(ad._KERNELS.items()):
+                patch.setitem(ad._KERNELS, kind, (forward, recording(kernel)))
+            with Tape() as tape:
+                loss = batch_loss(model, config, pairs)
+            grads = backward(tape, loss)
+        return calls, {t.name: ad.dense(g).tobytes() for t, g in grads.items()}
+
+    calls, grads = run(keep_all=False)
+    assert grads == run(keep_all=True)[1]
+    skipped = set()
+    for kind, keep, adjoints in calls:
+        if kind in ("matmul", "bilstm"):
+            checked = keep if kind == "matmul" else keep[:1]  # the tokens; parameters train
+            assert [a is not None for a in adjoints[:len(checked)]] == checked, kind
+            skipped |= {(kind, i) for i, kept in enumerate(checked) if not kept}
+    assert skipped == dropped
 
 
 # --- grid search ------------------------------------------------------------

@@ -12,7 +12,7 @@ from conftest import FIXTURES_DIR
 from oracles import bilstm_reference_embedding, reference_transfer_config
 
 from simxfer import autodiff
-from simxfer.autodiff import Tape, Tensor, grad_check, lookup_rows, softmax
+from simxfer.autodiff import Tape, Tensor, grad_check, softmax
 from simxfer.data import ScoredPair
 from simxfer.embeddings import UNK_INDEX, EmbeddingMatrix, Vocabulary, load_embeddings, tokenize
 from simxfer.encoders import GATES, EncoderConfig, encode, init_encoder
@@ -338,8 +338,8 @@ def test_embed_pairs_matches_per_sentence_encode(kind):
     for row, text in zip(batched, sentences):
         with Tape():
             ids = [model.vocabulary.index.get(t, UNK_INDEX) for t in tokenize(text)]
-            vectors = lookup_rows(model.embedding.matrix, ids)
-            single = encode(model.encoder_params, model.encoder_config, vectors).values
+            single = encode(model.encoder_params, model.encoder_config, model.embedding.matrix,
+                            np.array([ids]), np.array([len(ids)]), [0]).values[0]
         assert np.allclose(row, single, rtol=0, atol=1e-12)
         assert np.allclose(row, _reference_embedding(model, text), rtol=0, atol=1e-12)
 
