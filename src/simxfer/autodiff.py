@@ -24,15 +24,16 @@ Primitives act on a leading batch axis: ``add``, ``subtract`` and
 ``softmax`` and ``cosine`` work along the last axis, and ``concat``,
 ``stack``, ``select_row`` and the axis reductions accept any rank.  So one
 graph serves one vector or a whole batch of rows.  ``bilstm`` is one node
-for a whole bidirectional LSTM over n sentences of any lengths, their token
-vectors packed step-major; its kernels hold the recurrence and its
-backpropagation through time, with the arithmetic of the same LSTM built
-from the other primitives.  Given the sentences' lengths, the mean and max
-over axis 0 pool each sentence's own steps of its T x n x 2h output.
+for a bidirectional LSTM over n sentences of any lengths, their token vectors
+packed step-major; its kernels run the recurrence and its backpropagation
+through time with the 8 gates stacked into batched products, bitwise the same
+LSTM built from the other primitives.  Given the sentences' lengths, the mean
+and max over axis 0 pool each sentence's own steps of its T x n x 2h output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -211,13 +212,13 @@ def _bwd_absolute(node, g, keep):
     return (g * np.sign(node.inputs[0].values),)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # clamp keeps exp within float64 range; saturation is unaffected
-    return 1.0 / (1.0 + np.exp(-np.clip(a, -709.0, 709.0)))
-
-
-def _fwd_sigmoid(values, attrs):
-    return _sigmoid(values[0]), {}
+def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-a)), in ``out`` (which may be a) if given; a is clamped to
+    keep exp within float64 range, which leaves saturation unaffected."""
+    out = np.empty_like(a) if out is None else out
+    np.exp(np.negative(np.clip(a, -709.0, 709.0, out=out), out=out), out=out)
+    np.divide(1.0, np.add(out, 1.0, out=out), out=out)
+    return out
 
 
 def _bwd_sigmoid(node, g, keep):
@@ -392,15 +393,17 @@ def _bwd_cosine(node, g, keep):
 # the lengths never increase, so the sentences still running at step t are the
 # first k_t, and the next k_t token rows hold their token t, in that order.
 # The backward direction takes each sentence in at its own last token, with a
-# zero state, and no padded step runs.  Each gate multiplies all the tokens at once
-# (X @ W.T) before the recurrence, and after it takes W's and the tokens'
-# adjoints in one product each (Appleyard, Kocisky and Blunsom 2016).  Each
-# direction's 12 tensors are W (h x d), U (h x h) and b (h) of the input,
-# forget and output gates and the candidate, in that order.  The forward pass
-# runs the numpy operations of the same network built gate by gate from the
-# other primitives (``tests/oracles.py::tape_packed_bilstm``) in its order,
-# and the backward pass adds every adjoint in the order that graph's reverse
-# walk adds it, so both are bitwise that graph's.
+# zero state, and no padded step runs.  Each direction's 12 tensors are W (h x d),
+# U (h x h) and b (h) of the input, forget and output gates and the candidate.
+# The kernels stack the 8 gates of both directions in the reverse order, so each
+# product is one batched matmul: per direction, all tokens times its 4 W before
+# the recurrence (Appleyard, Kocisky and Blunsom 2016) and h_prev @ U.T per step;
+# after it, W's and the tokens' adjoints.  A batched matmul makes one BLAS call per
+# gate on the per-gate operands (W and U as transposed views of their stacks),
+# where one merged GEMM would sum in another order.  So the forward pass runs the
+# numpy operations of the same network built gate by gate from the other primitives
+# (``tests/oracles.py::tape_packed_bilstm``), the backward pass adds every adjoint
+# in the order that graph's reverse walk adds it, and both are bitwise that graph's.
 
 
 def _fwd_bilstm(values, attrs):
@@ -416,32 +419,33 @@ def _fwd_bilstm(values, attrs):
                                 "4 W of h x d, 4 U of h x h, 4 b of h")
     sizes = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()  # k_t
     starts = [0, *np.cumsum(sizes[:-1]).tolist()]
-    fw = _lstm_steps(tokens, params[:12], sizes, starts)
-    bw = _lstm_steps(tokens, params[12:], sizes[::-1], starts[::-1])
+    # 8 x h x d, 8 x h x h and 8 x h: the backward direction first, each candidate first
+    w, u, b = (np.stack((params[i:i + 4] + params[12 + i:16 + i])[::-1]) for i in (0, 4, 8))
     out = np.zeros((len(sizes), len(lengths), 2 * h))
-    for t, k in enumerate(sizes):
-        out[t, :k, :h] = fw[t][-1]
-        out[t, :k, h:] = bw[-1 - t][-1]
-    return out, {"fw": fw, "bw": bw, "sizes": sizes, "starts": starts}
+    fw = _lstm_steps(tokens, w[4:], u[4:], b[4:, None], sizes, starts, out[:, :, :h])
+    bw = _lstm_steps(tokens, w[:4], u[:4], b[:4, None], sizes[::-1], starts[::-1], out[::-1, :, h:])
+    return out, {"fw": fw, "bw": bw, "starts": starts, "w": w, "u": u}
 
 
-def _lstm_steps(tokens, params, sizes, starts):
-    """One direction over the steps of ``sizes`` running sentences whose token
-    rows begin at ``starts``, each sentence from a zero state: per step
-    (h_prev, c_prev, i, f, o, g, tanh c, h)."""
-    w, u, b = params[:4], params[4:8], params[8:]
-    xw = [tokens @ wk.T for wk in w]
-    h = c = np.zeros((0, len(b[0])))
+def _lstm_steps(tokens, w, u, b, sizes, starts, out):
+    """One direction, its gates stacked candidate first, over the steps of
+    ``sizes`` running sentences whose token rows begin at ``starts``, each
+    sentence from a zero state; step t's states go to out[t].  Returns per
+    step (h_prev, c_prev, [g, o, f, i], tanh c, h)."""
+    xw, ut = tokens @ w.transpose(0, 2, 1), u.transpose(0, 2, 1)  # 4 x n_tokens x h
+    h = c = np.zeros((0, u.shape[1]))
     steps = []
-    for k, start in zip(sizes, starts):
+    for t, (k, start) in enumerate(zip(sizes, starts)):
         h_prev, c_prev = _resized(h, k), _resized(c, k)
-        pre = [(xk[start:start + k] + h_prev @ uk.T) + bk for xk, uk, bk in zip(xw, u, b)]
-        i, f, o = (_sigmoid(p) for p in pre[:3])
-        g = np.tanh(pre[3])
+        gates = xw[:, start:start + k] + h_prev @ ut
+        gates += b
+        np.tanh(gates[0], out=gates[0])
+        _sigmoid(gates[1:], out=gates[1:])
+        g, o, f, i = gates
         c = f * c_prev + i * g
         tc = np.tanh(c)
-        h = o * tc
-        steps.append((h_prev, c_prev, i, f, o, g, tc, h))
+        out[t, :k] = h = o * tc
+        steps.append((h_prev, c_prev, gates, tc, h))
     return steps
 
 
@@ -459,51 +463,45 @@ def _resized_adjoint(g, n):
     return out
 
 
-def _lstm_steps_backward(steps, u, g_out, starts, n_tokens):
-    """One direction's adjoints from its steps' state adjoints ``g_out``: the
-    four gates' pre-activation adjoints, packed like the tokens, and U's and b's."""
-    dz = [np.zeros((n_tokens, len(uk))) for uk in u]
-    du, db = [None] * 4, [None] * 4
-    dh, dc = g_out[-1], None
+def _lstm_steps_backward(steps, u, g_out, starts, dz):
+    """One direction's adjoints from its output's adjoint ``g_out``, step-major: the
+    stacked gates' pre-activation adjoints into ``dz``, packed like the tokens,
+    and U's and b's, all candidate first."""
+    dh, du, db, dc = g_out[-1, :len(steps[-1][-1])], None, None, None
     for s in range(len(steps) - 1, -1, -1):
-        h_prev, c_prev, i, f, o, g, tc, _ = steps[s]
+        h_prev, c_prev, gates, tc, _ = steps[s]
+        g, o, f, i = gates
         dc_tanh = dh * o * (1.0 - tc * tc)
         dc = dc_tanh if dc is None else dc + dc_tanh
-        d_pre = (dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g))
-        dh_prev = None
-        for k in (3, 2, 1, 0):  # candidate first: the reverse of recording order
-            dp = d_pre[k]
-            dz[k][starts[s]:starts[s] + len(dp)] += dp  # 0.0 + dp, as the graph's gather adds it
-            db_k, du_k = _unbroadcast(dp, dp.shape[1:]), h_prev.T @ dp
-            db[k] = db_k if db[k] is None else db[k] + db_k
-            du[k] = du_k if du[k] is None else du[k] + du_k
-            if s:  # the zero initial state gets no adjoint
-                dh_k = dp @ u[k]
-                dh_prev = dh_k if dh_prev is None else dh_prev + dh_k
-        if s:
-            rows = len(g_out[s - 1])
-            dh = g_out[s - 1] + _resized_adjoint(dh_prev, rows)
+        d_pre = np.empty_like(gates)
+        for row, (a, b) in enumerate(((dc, i), (dh, tc), (dc, c_prev), (dc, g))):
+            np.multiply(a, b, out=d_pre[row])
+        d_pre[0] *= 1.0 - g * g
+        d_pre[1:] *= gates[1:]
+        d_pre[1:] *= 1.0 - gates[1:]
+        dz[:, starts[s]:starts[s] + len(tc)] += d_pre  # 0.0 + d_pre, as the graph's gather adds it
+        db = d_pre.sum(axis=1) if db is None else db + d_pre.sum(axis=1)
+        du = h_prev.T @ d_pre if du is None else du + h_prev.T @ d_pre
+        if s:  # the zero initial state gets no adjoint
+            rows = len(steps[s - 1][-1])
+            dh = g_out[s - 1, :rows] + _resized_adjoint((d_pre @ u).sum(axis=0), rows)
             dc = _resized_adjoint(dc * f, rows)
-    return dz, [m.T for m in du], db
+    return du, db
 
 
 def _bwd_bilstm(node, g, keep):
-    tokens, params = node.inputs[0].values, [t.values for t in node.inputs[1:]]
-    h, sizes, starts = len(params[8]), node.saved["sizes"], node.saved["starts"]
-    g_fw = [g[t, :k, :h] for t, k in enumerate(sizes)]
-    g_bw = [g[t, :k, h:] for t, k in enumerate(sizes)][::-1]
+    tokens, saved = node.inputs[0].values, node.saved
+    w, u, starts, h = saved["w"], saved["u"], saved["starts"], saved["u"].shape[1]
+    dz = np.zeros((8, len(tokens), h))
     # the gate graph records the backward direction last, so its reverse walk reaches it first
-    bw = _lstm_steps_backward(node.saved["bw"], params[16:20], g_bw, starts[::-1], len(tokens))
-    fw = _lstm_steps_backward(node.saved["fw"], params[4:8], g_fw, starts, len(tokens))
-    d_tokens = None
-    if keep[0]:  # a frozen embedding matrix needs no token adjoint
-        for dz, w in ((bw[0], params[12:16]), (fw[0], params[:4])):
-            for k in (3, 2, 1, 0):
-                d_tokens = dz[k] @ w[k] if d_tokens is None else d_tokens + dz[k] @ w[k]
+    bw = _lstm_steps_backward(saved["bw"], u[:4], g[::-1, :, h:], starts[::-1], dz[:4])
+    fw = _lstm_steps_backward(saved["fw"], u[4:], g[:, :, :h], starts, dz[4:])
+    # a frozen embedding matrix needs no token adjoint; 8 adds in order, not numpy's pairwise sum
+    d_tokens = functools.reduce(np.add, dz @ w) if keep[0] else None
+    dw = (tokens.T @ dz).transpose(0, 2, 1)
     grads = []
-    for dz, du, db in (fw, bw):
-        grads += [(tokens.T @ dz_k).T for dz_k in dz] + du + db
+    for gw, (du, db) in ((dw[:3:-1], fw), (dw[3::-1], bw)):  # back to parameter order
+        grads += [*gw, *du[::-1].transpose(0, 2, 1), *db[::-1]]
     return (d_tokens, *grads)
 
 
@@ -513,7 +511,7 @@ _KERNELS: dict[str, tuple[Callable, Callable]] = {  # kind -> (forward, backward
     "subtract": (_numpy_kernel("subtract", np.subtract), _bwd_subtract),
     "elementwise_multiply": (_numpy_kernel("elementwise_multiply", np.multiply), _bwd_multiply),
     "absolute": (_numpy_kernel("absolute", np.abs), _bwd_absolute),
-    "sigmoid": (_fwd_sigmoid, _bwd_sigmoid),
+    "sigmoid": (_numpy_kernel("sigmoid", _sigmoid), _bwd_sigmoid),
     "tanh": (_numpy_kernel("tanh", np.tanh), _bwd_tanh),
     "transpose": (_numpy_kernel("transpose", np.transpose), _bwd_transpose),
     "concat": (_numpy_kernel("concat", lambda *parts, axis: np.concatenate(parts, axis=axis)),

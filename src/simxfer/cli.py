@@ -331,27 +331,18 @@ def emit_table(reports: list[ExperimentReport]) -> tuple[str, str]:
     """
     if not reports:
         raise ContractError("emit_table requires at least one report")
-    datasets: list[str] = []
-    rows: list[tuple[str, str]] = []
+    datasets = list(dict.fromkeys(f"{rep.dataset}/{rep.metric}" for rep in reports))
+    rows = list(dict.fromkeys((rep.encoder, rep.setting) for rep in reports))
     values: dict[tuple[str, str, str], float] = {}
+    best: dict[tuple[str, str], float] = {}
     for rep in reports:
         column = f"{rep.dataset}/{rep.metric}"
-        if column not in datasets:
-            datasets.append(column)
-        row = (rep.encoder, rep.setting)
-        if row not in rows:
-            rows.append(row)
         key = (rep.encoder, rep.setting, column)
         if key in values:
             raise DataError(f"duplicate report for encoder={rep.encoder} "
                             f"setting={rep.setting} dataset={column}")
         values[key] = rep.test_correlation
-
-    best: dict[tuple[str, str], float] = {}
-    for (encoder, _setting, column), corr in values.items():
-        cur = best.get((encoder, column))
-        if cur is None or corr > cur:
-            best[(encoder, column)] = corr
+        best[(rep.encoder, column)] = max(best.get((rep.encoder, column), values[key]), values[key])
 
     header = ["encoder", "setting", *datasets]
     table_rows: list[list[str]] = []
@@ -368,10 +359,8 @@ def emit_table(reports: list[ExperimentReport]) -> tuple[str, str]:
 
     tsv = "\n".join("\t".join(r) for r in [header, *table_rows]) + "\n"
     widths = [max(len(r[i]) for r in [header, *table_rows]) for i in range(len(header))]
-    pretty_lines = []
-    for r in [header, *table_rows]:
-        pretty_lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-    pretty = "\n".join(pretty_lines) + "\n"
+    pretty = "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+                     for r in [header, *table_rows])
     return tsv, pretty
 
 

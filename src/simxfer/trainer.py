@@ -7,10 +7,11 @@ seeded shuffle, fixed-size batches (the last partial batch is kept), one
 tape per batch, loss per setting, ``backward``, whose returned gradients
 feed the Adam step.  A batch is embedded and scored as a whole, through
 the forward path that prediction uses too; parameter sets the setting
-freezes cost only their forward pass.  An embedding matrix trained
-through its lookups gets row-sparse gradients, and Adam updates only the
-rows touched so far, keeping moments for those rows alone: bitwise dense
-Adam, at the cost of the rows a batch reads.  After each epoch the dev
+freezes cost only their forward pass.  Adam moves every tensor with a
+dense gradient in one flat pass.  An embedding matrix trained through its
+lookups gets row-sparse gradients, and Adam updates only the rows touched
+so far, keeping moments for those rows alone: bitwise dense Adam, at the
+cost of the rows a batch reads.  After each epoch the dev
 split is scored with its metric, with no tape open.  Training stops
 after ``patience`` epochs without dev improvement or at ``max_epochs``.
 A new best epoch copies the trainable tensors (frozen ones never
@@ -85,19 +86,21 @@ class TrainingConfig:
 
 
 class AdamState:
-    """First/second moment accumulators per parameter plus a step counter.
+    """Adam's moments ``m[p]`` and ``v[p]`` of each parameter, plus a step counter.
 
-    A parameter that has so far received only ``RowSparse`` gradients
-    keeps its moments for the rows touched so far: ``rows[p]`` (sorted),
-    with one row of ``m[p]`` and ``v[p]`` each.  Its other rows have
-    m = v = 0 and zero gradients, which dense Adam moves by exactly 0.  A
-    dense gradient makes the moments whole for good (``rows[p]`` is None).
+    Those of the tensors that the last step moved by dense gradients are views
+    of one flat ``flat_m`` and ``flat_v``, in state order.  A tensor that has so
+    far had only ``RowSparse`` gradients keeps moments for the rows touched so
+    far, ``rows[p]`` (sorted): its other rows have m = v = 0 and zero gradients,
+    which dense Adam moves by exactly 0.  A dense gradient makes its moments
+    whole for good (``rows[p]`` is None).
     """
 
     def __init__(self, params: list[Tensor]):
         self.m = {p: np.zeros((0,) + p.shape[1:]) for p in params}
         self.v = {p: np.zeros((0,) + p.shape[1:]) for p in params}
         self.rows: dict[Tensor, np.ndarray | None] = {p: np.zeros(0, np.intp) for p in params}
+        self.flat, self.flat_m, self.flat_v = [], np.zeros(0), np.zeros(0)  # flat: their tensors
         self.t = 0
 
     def touch(self, p: Tensor, rows: np.ndarray) -> np.ndarray:
@@ -110,15 +113,19 @@ class AdamState:
             self.rows[p] = union
         return union
 
-    def make_whole(self, p: Tensor) -> None:
-        """Turn p's moments into full-size arrays."""
-        rows = self.rows[p]
-        if rows is None:
-            return
-        for moments in (self.m, self.v):
-            moments[p] = (RowSparse(rows, moments[p], p.shape).dense() if len(rows)
-                          else np.zeros_like(p.values))
-        self.rows[p] = None
+    def flatten(self, params: list[Tensor]) -> None:
+        """Make the moments of ``params`` whole and lay them end to end in the flat ones."""
+        for name, moments in (("flat_m", self.m), ("flat_v", self.v)):
+            for p in params:
+                if self.rows[p] is not None:
+                    moments[p] = (RowSparse(self.rows[p], moments[p], p.shape).dense()
+                                  if len(self.rows[p]) else np.zeros_like(p.values))
+            flat = np.concatenate([moments[p].ravel() for p in params] or [np.zeros(0)])
+            setattr(self, name, flat)
+            for p in params:
+                moments[p], flat = flat[:p.values.size].reshape(p.shape), flat[p.values.size:]
+        self.flat = params
+        self.rows.update(dict.fromkeys(params))
 
 
 def _adam_delta(m: np.ndarray, v: np.ndarray, g: np.ndarray, lr: float,
@@ -133,30 +140,36 @@ def _adam_delta(m: np.ndarray, v: np.ndarray, g: np.ndarray, lr: float,
 
 def adam_step(grads: dict[Tensor, np.ndarray | RowSparse], state: AdamState, lr: float) -> None:
     """Standard Adam update with bias correction from the ``grads`` that
-    ``backward`` returns.  Only trainable tensors move, in the state's order.
+    ``backward`` returns.  Only trainable tensors move.
 
-    A ``RowSparse`` gradient updates only the rows touched so far; the
-    result is bitwise that of dense Adam on the scattered gradient.
+    Every gradient is checked before anything moves, so a refused step changes
+    nothing.  The tensors with dense gradients move as one flat vector; a
+    ``RowSparse`` gradient updates only the rows touched so far, bitwise as
+    dense Adam would on the scattered gradient.
     """
     if not 0 < lr < math.inf:
         raise ContractError("learning rate must be positive and finite")
+    live = [(p, grads[p]) for p in state.rows if p.trainable and p in grads]
+    sparse = [(p, g) for p, g in live if isinstance(g, RowSparse) and state.rows[p] is not None]
+    flat = [(p, dense(g)) for p, g in live if not isinstance(g, RowSparse) or state.rows[p] is None]
+    flat_g = np.concatenate([g.ravel() for _, g in flat] or [np.zeros(0)])
+    if not (np.isfinite(flat_g).all() and all(np.isfinite(g.values).all() for _, g in sparse)):
+        p = next(p for p, g in live
+                 if not np.isfinite(g.values if isinstance(g, RowSparse) else g).all())
+        raise NumericError(f"non-finite gradient for {p.name or p!r}")
     state.t += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.t
     bias2 = 1.0 - ADAM_BETA2 ** state.t
-    for p in state.m:
-        g = grads.get(p)
-        if not p.trainable or g is None:
-            continue
-        sparse = isinstance(g, RowSparse)
-        if not np.all(np.isfinite(g.values if sparse else g)):
-            raise NumericError(f"non-finite gradient for {p.name or p!r}")
-        if sparse and state.rows[p] is not None:
-            rows = state.touch(p, g.rows)
-            p.values[rows] -= _adam_delta(state.m[p], state.v[p], g.on_rows(rows),
-                                          lr, bias1, bias2)
-        else:
-            state.make_whole(p)
-            p.values -= _adam_delta(state.m[p], state.v[p], dense(g), lr, bias1, bias2)
+    for p, g in sparse:
+        rows = state.touch(p, g.rows)
+        p.values[rows] -= _adam_delta(state.m[p], state.v[p], g.on_rows(rows), lr, bias1, bias2)
+    params = [p for p, _ in flat]
+    if params != state.flat:  # a tensor with no gradient this step keeps its moments
+        state.flatten(params)
+    delta = _adam_delta(state.flat_m, state.flat_v, flat_g, lr, bias1, bias2)
+    for p in params:
+        p.values -= delta[:p.values.size].reshape(p.shape)
+        delta = delta[p.values.size:]
 
 
 @dataclass

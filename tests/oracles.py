@@ -7,12 +7,14 @@ step-by-step LSTM recurrence over plain numpy arrays.  Others keep an
 earlier form of a production path instead: the BiLSTM recorded gate by
 gate on the tape, both packed (the arithmetic the fused ``bilstm`` kernel
 reproduces) and one length group at a time (the encoder before packing),
-the dense lookup adjoint, the character-by-character tokenizer, the word-vector loader that splits
-every line and calls ``float()`` on each value, the text-keyed batch embedding
+the dense lookup adjoint, Adam one tensor at a time, the
+character-by-character tokenizer, the word-vector loader that splits every
+line and calls ``float()`` on each value, the text-keyed batch embedding
 (``embed_sentences`` and ``embed_pairs``) that the pair table replaced, a
-training loop that embeds every batch and every dev slice anew with it, a
-grid search that trains every cell with its own ``train`` call, and the
-transfer-setting rules written as one test of the setting name per case.
+training loop that embeds every batch and every dev slice anew with it and
+steps Adam one tensor at a time, a grid search that trains every cell with its
+own ``train`` call, and the transfer-setting rules written as one test of the
+setting name per case.
 """
 
 import math
@@ -21,6 +23,7 @@ import string
 import numpy as np
 
 from simxfer.autodiff import (
+    RowSparse,
     Tape,
     Tensor,
     add,
@@ -28,6 +31,7 @@ from simxfer.autodiff import (
     bilstm,
     concat,
     cosine,
+    dense,
     elementwise_multiply,
     lookup_rows,
     matmul,
@@ -50,13 +54,14 @@ from simxfer.encoders import GATES
 from simxfer.errors import ContractError, DataError, NumericError
 from simxfer.metrics import correlation
 from simxfer.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TIE_TOLERANCE,
     UNDEFINED_CORRELATION,
-    AdamState,
     CellResult,
     GridSearchResult,
     TrainingHistory,
-    adam_step,
     train,
 )
 from simxfer.transfer import (
@@ -362,15 +367,80 @@ def _pair_outputs(config, model, pairs):
     return None, cosine(h_left, h_right)
 
 
+class ReferenceAdamState:
+    """Adam's moments one tensor at a time, ``trainer.AdamState`` before it laid
+    them out flat: ``m[p]``, ``v[p]`` and, while p has had only ``RowSparse``
+    gradients, the sorted rows ``rows[p]`` they cover (None once whole)."""
+
+    def __init__(self, params):
+        self.m = {p: np.zeros((0,) + p.shape[1:]) for p in params}
+        self.v = {p: np.zeros((0,) + p.shape[1:]) for p in params}
+        self.rows = {p: np.zeros(0, np.intp) for p in params}
+        self.t = 0
+
+    def touch(self, p, rows):
+        old = self.rows[p]
+        union = np.union1d(old, rows)
+        if len(union) > len(old):
+            for moments in (self.m, self.v):
+                moments[p] = RowSparse(old, moments[p], p.shape).on_rows(union)
+            self.rows[p] = union
+        return union
+
+    def make_whole(self, p):
+        rows = self.rows[p]
+        if rows is None:
+            return
+        for moments in (self.m, self.v):
+            moments[p] = (RowSparse(rows, moments[p], p.shape).dense() if len(rows)
+                          else np.zeros_like(p.values))
+        self.rows[p] = None
+
+
+def _reference_adam_delta(m, v, g, lr, bias1, bias2):
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    return lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+def reference_adam_step(grads, state, lr):
+    """``trainer.adam_step`` one tensor at a time, in state order, with ~11
+    numpy calls per tensor; it checks each gradient just before that tensor
+    moves, so a non-finite one refuses the step after the tensors before it
+    moved."""
+    if not 0 < lr < math.inf:
+        raise ContractError("learning rate must be positive and finite")
+    state.t += 1
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
+    for p in state.m:
+        g = grads.get(p)
+        if not p.trainable or g is None:
+            continue
+        sparse = isinstance(g, RowSparse)
+        if not np.all(np.isfinite(g.values if sparse else g)):
+            raise NumericError(f"non-finite gradient for {p.name or p!r}")
+        if sparse and state.rows[p] is not None:
+            rows = state.touch(p, g.rows)
+            p.values[rows] -= _reference_adam_delta(state.m[p], state.v[p], g.on_rows(rows),
+                                                    lr, bias1, bias2)
+        else:
+            state.make_whole(p)
+            p.values -= _reference_adam_delta(state.m[p], state.v[p], dense(g), lr, bias1, bias2)
+
+
 def reference_train(model, config, train_pairs, dev_pairs, metric, training_config):
     """Training that embeds each batch and each dev slice with ``embed_pairs``.
 
-    Same shuffle, batches, targets, losses, Adam steps, early stopping and
-    best-epoch restore as ``trainer.train``; returns ``(model, TrainingHistory)``.
+    Same shuffle, batches, targets, losses, Adam steps (one tensor at a time,
+    ``reference_adam_step``), early stopping and best-epoch restore as
+    ``trainer.train``; returns ``(model, TrainingHistory)``.
     """
     model.apply_freeze_policy(config)
     params = [t for ts in model.parameter_sets().values() for t in ts if t.trainable]
-    state = AdamState(params)
+    state = ReferenceAdamState(params)
     rng = np.random.default_rng(training_config.seed)
     history = TrainingHistory()
     best_values = None
@@ -391,7 +461,7 @@ def reference_train(model, config, train_pairs, dev_pairs, metric, training_conf
                     targets = [normalize_score(p.score, p.score_range, config.norm_range)
                                for p in batch]
                     loss = dnt_loss(cosines, targets, norm_range=config.norm_range)
-            adam_step(backward(tape, loss), state, training_config.learning_rate)
+            reference_adam_step(backward(tape, loss), state, training_config.learning_rate)
             losses.append(float(loss.values))
         history.train_losses.append(float(np.mean(losses)))
         predictions = []

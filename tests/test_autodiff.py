@@ -2,8 +2,12 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,58 @@ def test_bilstm_checks_its_lengths_against_the_packed_tokens():
         for lengths in ([2, 3], [5, 0], []):
             with pytest.raises(ContractError):
                 ad.bilstm(np.ones((5, 3)), lengths, params[:12], params[12:])
+
+
+def gate_stack_mismatches():
+    """Where a batched ``np.matmul`` over a stack of gates differs from the 2-D
+    product of each gate, or a sum over a stack of 4 from adding in order.
+
+    The ``bilstm`` kernels rely on both being bitwise: per gate, the 2-D
+    operands are separate contiguous arrays (W and U as ``.T`` views, as the
+    parameters are), and the batched ones transposed views of their stack.
+    The shapes cover one running sentence (k = 1), h = 1, d = 1, a broadcast
+    ``h_prev`` and products large enough for BLAS to use more than one thread."""
+    rng = np.random.default_rng(7)
+    bad = []
+    for n, k, d, h in [(7, 1, 5, 1), (7, 3, 1, 1), (1, 1, 1, 1), (40, 13, 50, 8),
+                       (9, 1, 300, 64), (400, 64, 300, 64)]:
+        ws, us, d_pres, dzs = ([rng.normal(size=shape) for _ in range(4)]
+                               for shape in ((h, d), (h, h), (k, h), (n, h)))
+        w, u, d_pre, dz = (np.stack(gates) for gates in (ws, us, d_pres, dzs))
+        tokens, h_prev = rng.normal(size=(n, d)), rng.normal(size=(k, h))
+        products = {
+            "tokens @ W.T": (tokens @ w.transpose(0, 2, 1), [tokens @ wk.T for wk in ws]),
+            "h_prev @ U.T": (h_prev @ u.transpose(0, 2, 1), [h_prev @ uk.T for uk in us]),
+            "h_prev.T @ d_pre": (h_prev.T @ d_pre, [h_prev.T @ dp for dp in d_pres]),
+            "d_pre @ U": (d_pre @ u, [dp @ uk for dp, uk in zip(d_pres, us)]),
+            "tokens.T @ dz": (tokens.T @ dz, [tokens.T @ dzk for dzk in dzs]),
+            "dz @ W": (dz @ w, [dzk @ wk for dzk, wk in zip(dzs, ws)]),
+            "sum over axis 0": (d_pre.sum(axis=0)[None], [((d_pre[0] + d_pre[1]) + d_pre[2])
+                                                          + d_pre[3]]),
+            "sum over axis 1": (d_pre.sum(axis=1), [dp.sum(axis=0) for dp in d_pres]),
+        }
+        for name, (batched, per_gate) in products.items():
+            if any(b.tobytes() != p.tobytes() for b, p in zip(batched, per_gate)):
+                bad.append(f"{name} at n={n} k={k} d={d} h={h}")
+    return bad
+
+
+def test_a_batched_matmul_over_a_gate_stack_is_each_gates_product_bitwise():
+    """The rule the stacked ``bilstm`` kernels stand on, checked by name, so that
+    a numpy or BLAS that breaks it fails here: in this process, and in fresh
+    ones with one and with two BLAS threads."""
+    assert gate_stack_mismatches() == []
+    tests_dir = Path(__file__).resolve().parent
+    paths = [str(tests_dir.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads)}
+        proc = subprocess.run([sys.executable, "-c", "import test_autodiff as t; "
+                               "print(t.gate_stack_mismatches())"], cwd=tests_dir, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]", (threads, proc.stdout)
 
 
 def test_backward_quadratic():

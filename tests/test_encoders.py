@@ -307,11 +307,14 @@ def test_fused_bilstm_is_bitwise_the_gate_by_gate_graph_on_one_length_group(kind
 
 EDGE_LENGTHS = {"one sentence": [5], "a 1-token sentence among 6-token ones": [6, 1, 6, 6],
                 "all lengths equal": [4, 4, 4], "repeated rows": [3, 5, 2],
-                "bilstm-max with tied steps": [4, 6, 2]}
+                "bilstm-max with tied steps": [4, 6, 2], "one-token sentences": [1, 1, 1, 1],
+                "a lone one-token sentence": [1]}
 
 
-@pytest.mark.parametrize("case", EDGE_LENGTHS)
-def test_packed_batch_edge_cases_match_the_gate_graph_and_per_sentence_encode(case):
+@pytest.mark.parametrize("case, d, h", [  # d = 4, h = 3 keeps the bare case name
+    pytest.param(case, d, h, id=case + suffix) for case in EDGE_LENGTHS
+    for suffix, (d, h) in {"": (4, 3), "-d1-h1": (1, 1), "-d300-h64": (300, 64)}.items()])
+def test_packed_batch_edge_cases_match_the_gate_graph_and_per_sentence_encode(case, d, h):
     """Each edge batch is bitwise the packed gate graph, embeddings and every
     gradient, and each of its rows is within 1e-12 of encoding that sentence
     alone.  The tied case shuts the forget gate and drops U, so a step's state
@@ -320,9 +323,9 @@ def test_packed_batch_edge_cases_match_the_gate_graph_and_per_sentence_encode(ca
     rng = np.random.default_rng(zlib.crc32(case.encode()))
     lengths = np.array(EDGE_LENGTHS[case])
     kind = "bilstm-max" if "tied" in case else "bilstm-avg"
-    config = EncoderConfig(kind, input_dim=4, hidden_dim=3, seed=5)
+    config = EncoderConfig(kind, input_dim=d, hidden_dim=h, seed=5)
     params = init_encoder(config)
-    wem = Tensor(rng.normal(size=(12, 4)), trainable=True)
+    wem = Tensor(rng.normal(size=(12, d)), trainable=True)
     ids = rng.integers(1, 12, size=(len(lengths), lengths.max()))
     rows = [0, 2, 0, 1, 2, 2, 1] if case == "repeated rows" else range(len(lengths))
     if "tied" in case:
@@ -342,6 +345,26 @@ def test_packed_batch_edge_cases_match_the_gate_graph_and_per_sentence_encode(ca
         assert np.allclose(embedding, alone, rtol=0, atol=1e-12)
     if "tied" in case:
         assert np.all(got[0] < 0)
+
+
+def test_a_lone_token_adjoint_adds_the_eight_gates_in_order():
+    """One sentence of one token, d = h = 1: the token's adjoint sums 8 single
+    numbers, one per gate and direction, which numpy's pairwise summation
+    would add in another order.  Over 40 draws it stays bitwise the gate
+    graph's."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        tokens = Tensor(rng.normal(size=(1, 1)), trainable=True)
+        params = [Tensor(rng.normal(size=(1,) * (1 + (i % 12 < 8))) * 10.0 ** rng.integers(-3, 3),
+                         trainable=True) for i in range(24)]
+        grads = []
+        for kernel in (bilstm, tape_packed_bilstm):
+            with Tape() as tape:
+                loss = mean_over_axis(mean_over_axis(
+                    kernel(tokens, [1], params[:12], params[12:]), axis=0), axis=0)
+                loss = matmul(loss, Tensor([1.0, -0.5]))
+            grads.append(backward(tape, loss)[tokens].tobytes())
+        assert grads[0] == grads[1]
 
 
 @pytest.fixture(scope="module")

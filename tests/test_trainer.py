@@ -7,7 +7,13 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import dense_lookup_backward, reference_grid_search, reference_train
+from oracles import (
+    ReferenceAdamState,
+    dense_lookup_backward,
+    reference_adam_step,
+    reference_grid_search,
+    reference_train,
+)
 from synthetic import already_optimal_pairs, as_split, make_model, overlap_pairs, random_pairs
 
 from simxfer import autodiff as ad
@@ -127,6 +133,77 @@ def test_adam_rejects_non_finite_row_sparse_gradient(rng):
     with pytest.raises(NumericError, match="wem.matrix"):
         adam_step({p: g}, AdamState([p]), lr=0.1)
     assert not p.values.any()
+
+
+def _adam_bytes(params, state):
+    """Every tensor's values, moments and touched rows, and the step count, as bytes."""
+    return ([(p.values.tobytes(), state.m[p].tobytes(), state.v[p].tobytes(),
+              None if state.rows[p] is None else state.rows[p].tobytes()) for p in params],
+            state.t)
+
+
+def test_a_refused_adam_step_changes_nothing(rng):
+    """A non-finite gradient, dense or row-sparse, anywhere in state order,
+    refuses the step before any tensor, moment or the step count moves."""
+    a = Tensor([1.0], trainable=True, name="enc.a")
+    wem = Tensor(rng.normal(size=(5, 2)), trainable=True, name="wem.matrix")
+    b = Tensor([1.0], trainable=True, name="enc.b")
+    state = AdamState([a, wem, b])
+    with pytest.raises(NumericError, match="enc.b"):
+        adam_step({a: np.array([0.5]), b: np.array([np.nan])}, state, lr=0.1)
+    assert a.values.tolist() == [1.0] and state.t == 0
+    adam_step({a: np.array([0.3]), wem: _row_sparse(rng, {1, 4}, wem.shape),
+               b: np.array([0.2])}, state, lr=0.1)
+    before = _adam_bytes([a, wem, b], state)
+    bad_rows = ad.RowSparse(np.array([0, 2]), np.array([[0.5, np.inf], [1.0, 1.0]]), wem.shape)
+    for grads, name in [({a: np.array([0.5]), b: np.array([np.nan])}, "enc.b"),
+                        ({a: np.array([0.5]), wem: bad_rows, b: np.array([0.1])}, "wem.matrix"),
+                        ({wem: _row_sparse(rng, {3}, wem.shape), b: np.array([-np.inf])}, "enc.b")]:
+        with pytest.raises(NumericError, match=name):
+            adam_step(grads, state, lr=0.1)
+        assert _adam_bytes([a, wem, b], state) == before
+
+
+def test_flat_adam_is_bitwise_the_per_tensor_oracle(rng):
+    """30 steps over a 0-d tensor, a vector, a matrix, a row-sparse matrix that
+    later gets dense gradients, a tensor with no gradient on some steps (it
+    neither moves nor decays) and a frozen one, and one step with nothing to
+    move: every value, moment and touched-row set is bitwise that of
+    ``oracles.reference_adam_step``."""
+    shapes = {"scalar": (), "vector": (5,), "matrix": (3, 4), "wem": (9, 3), "gappy": (2, 2),
+              "frozen": (3,)}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    sides = []
+    for state_type in (AdamState, ReferenceAdamState):
+        params = {name: Tensor(values.copy(), trainable=name != "frozen", name=name)
+                  for name, values in start.items()}
+        sides.append((params, state_type(list(params.values()))))
+    (got, got_state), (want, want_state) = sides
+    for step in range(30):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
+                 for name, shape in shapes.items()}
+        if step < 13 or step % 5 == 0:  # row-sparse, then dense but for every fifth step
+            grads["wem"] = _row_sparse(rng, set(rng.integers(0, 9, size=3).tolist()), (9, 3))
+        if step % 3 == 1:  # so at step 13, wem joins the flat pass as gappy leaves it
+            del grads["gappy"]
+        if step == 20:  # nothing to move
+            grads = {"frozen": grads["frozen"]}
+        lr = float(rng.choice([0.1, 0.01, 0.001]))
+        gappy = _adam_bytes([got["gappy"]], got_state)[0]
+        adam_step({got[name]: g for name, g in grads.items()}, got_state, lr)
+        assert ("gappy" in grads) != (_adam_bytes([got["gappy"]], got_state)[0] == gappy)
+        reference_adam_step({want[name]: g for name, g in grads.items()}, want_state, lr)
+        assert got_state.t == want_state.t
+        for name in shapes:
+            p, q = got[name], want[name]
+            assert p.values.tobytes() == q.values.tobytes(), (step, name)
+            assert got_state.m[p].tobytes() == want_state.m[q].tobytes(), (step, name)
+            assert got_state.v[p].tobytes() == want_state.v[q].tobytes(), (step, name)
+            assert (got_state.rows[p] is None) == (want_state.rows[q] is None), (step, name)
+        if step == 12:
+            assert got_state.rows[got["wem"]] is not None
+    assert got_state.rows[got["wem"]] is None
+    assert got["frozen"].values.tobytes() == start["frozen"].tobytes()
 
 
 # --- training loop ----------------------------------------------------------
